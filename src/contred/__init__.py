@@ -61,6 +61,9 @@ from .reducibility import (
     compare,
     compose_witness0,
     compose_witness2,
+    decide,
+    enumerate_continuous_partial,
+    enumerate_continuous_total,
     le0_fn,
     le0_map,
     le0_problem,
@@ -114,8 +117,6 @@ from .explore import (
     admissible,
     decompose_by_level,
     degree_poset,
-    enumerate_continuous_partial,
-    enumerate_continuous_total,
     injective_indiscrete_map,
     is_surjective,
     mod_chain_map,

@@ -306,7 +306,8 @@ def coproduct_with_mediator(
     z = _common_cod(cone, cod)
     cop = coproduct([m.dom for m in cone], fam.tags)
     mediator = sup0(fam, cod=z, name="copair(" + ",".join(m.name for m in cone) + ")")
-    assert mediator.is_total
+    if not mediator.is_total:
+        raise ContredError("the mediator is not total")
     for inj, m in zip(cop.injections, cone):
         if not map_equal(compose(mediator, inj), m):
             raise ContredError("mediator equation failed to replay")

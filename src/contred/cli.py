@@ -31,7 +31,7 @@ from .invariants import (
     level_problem,
 )
 from .lattice import inf0, sup0, sup0_problem, sup2, sup2_problem
-from .reducibility import CtResult, Witness0, Witness2, _decide_one
+from .reducibility import CtResult, Witness0, Witness2, decide
 from .spaces import PartialMap, Problem
 
 
@@ -99,7 +99,7 @@ def _cmd_check(args) -> int:
         raise CorpusError("check needs exactly two item names")
     corpus = _load_corpus(files)
     lhs, rhs = _items(corpus, names)
-    found = _decide_one(lhs, rhs, args.relation, _resolve_budget(args), args.cap)
+    found = decide(lhs, rhs, args.relation, _resolve_budget(args), args.cap)
     if found is None:
         print("no")
         return 1
@@ -307,3 +307,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -18,7 +18,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .errors import CapacityError, SearchExhaustedError, SpaceMismatchError
+from .errors import (
+    ContredError,
+    InvalidWitnessError,
+    SearchExhaustedError,
+    SpaceMismatchError,
+)
 from .invariants import (
     UNBOUNDED,
     LevelValue,
@@ -28,7 +33,14 @@ from .invariants import (
     level_sets,
 )
 from .lattice import TaggedFamily, sup0, sup2, tagged
-from .reducibility import Budget, _decide_one, le0_map, le2_map
+from .reducibility import (
+    Budget,
+    decide,
+    enumerate_continuous_partial,
+    enumerate_continuous_total,
+    le0_map,
+    le2_map,
+)
 from .spaces import (
     PartialMap,
     Problem,
@@ -43,81 +55,6 @@ from .spaces import (
     restrict,
     total_map,
 )
-
-ENUMERATION_CAP = 200_000
-
-
-# -- continuous-map enumeration -------------------------------------------
-
-
-def _monotone_vectors(dom: Space, cod: Space, require_total: bool):
-    """Yield value vectors (cod index per dom point, -1 undefined) in
-    lexicographic order, pruned by monotonicity against earlier points."""
-    n = dom.n
-    up = dom.up
-    down = dom.down
-    cup = cod.up
-    vec = [-1] * n
-
-    def ok(i: int, v: int) -> bool:
-        for j in range(i):
-            w = vec[j]
-            if w < 0:
-                continue
-            if (up[j] >> i) & 1 and not (cup[w] >> v) & 1:
-                return False
-            if (down[j] >> i) & 1 and not (cup[v] >> w) & 1:
-                return False
-        return True
-
-    options = list(range(cod.n)) if require_total else [-1] + list(range(cod.n))
-
-    def rec(i: int):
-        if i == n:
-            yield tuple(vec)
-            return
-        for v in options:
-            if v >= 0 and not ok(i, v):
-                continue
-            vec[i] = v
-            yield from rec(i + 1)
-        vec[i] = -1
-
-    yield from rec(0)
-
-
-@lru_cache(maxsize=None)
-def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[TotalMap, ...]:
-    """All continuous total maps dom -> cod, in lexicographic value order."""
-    out = []
-    for k, vec in enumerate(_monotone_vectors(dom, cod, require_total=True)):
-        rows = {dom.points[i]: cod.points[v] for i, v in enumerate(vec)}
-        out.append(
-            total_map(f"c[{dom.name}>{cod.name}]{k}", dom, cod, rows)
-        )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def enumerate_continuous_partial(
-    dom: Space, cod: Space, cap: int = ENUMERATION_CAP
-) -> tuple[PartialMap, ...]:
-    """All partial maps dom -> cod continuous on their domain of
-    definition, lexicographic, undefined slots ordered first."""
-    if (cod.n + 1) ** dom.n > cap:
-        raise CapacityError(
-            f"{(cod.n + 1) ** dom.n} partial maps exceed the cap of {cap}"
-        )
-    out = []
-    for k, vec in enumerate(_monotone_vectors(dom, cod, require_total=False)):
-        rows = {
-            dom.points[i]: cod.points[v] for i, v in enumerate(vec) if v >= 0
-        }
-        out.append(
-            partial_map(f"p[{dom.name}>{cod.name}]{k}", dom, cod, rows)
-        )
-    return tuple(out)
-
 
 # -- degree posets --------------------------------------------------------
 
@@ -171,16 +108,21 @@ def degree_poset(
     n = len(items)
     matrix = tuple(
         tuple(
-            _decide_one(items[i], items[j], relation, budget, cap) is not None
+            decide(items[i], items[j], relation, budget, cap) is not None
             for j in range(n)
         )
         for i in range(n)
     )
     for i in range(n):
-        assert matrix[i][i]
+        if not matrix[i][i]:
+            raise ContredError(f"{relation} is not reflexive at {names[i]!r}")
         for j in range(n):
             for k in range(n):
-                assert not (matrix[i][j] and matrix[j][k]) or matrix[i][k]
+                if matrix[i][j] and matrix[j][k] and not matrix[i][k]:
+                    raise ContredError(
+                        f"{relation} is not transitive on "
+                        f"{names[i]!r}, {names[j]!r}, {names[k]!r}"
+                    )
 
     assigned: dict[int, int] = {}
     classes: list[tuple[int, ...]] = []
@@ -253,7 +195,7 @@ def decompose_by_level(
 
     For each threshold t the slice keeps the points that have already
     left the variant-2 chain by stage t.  The direction "the join of the
-    slices is below f" always holds and is asserted; the converse is
+    slices is below f" always holds and is checked; the converse is
     decided and reported, not assumed — on finite spaces it can fail.
     """
     thresholds = tuple(thresholds)
@@ -271,7 +213,8 @@ def decompose_by_level(
         tags.append(str(t))
     fam = tagged(parts, tags)
     joined = sup2(fam)
-    assert le2_map(joined, f, budget) is not None
+    if le2_map(joined, f, budget) is None:
+        raise ContredError(f"the join of the level slices is not below {f.name!r}")
     holds = le2_map(f, joined, budget) is not None
     return Decomposition(fam, holds)
 
@@ -346,7 +289,11 @@ def random_space(n: int, edge_density: float = 0.3, seed: int = 0) -> Space:
         for j in range(n)
         if i != j and rng.random() < edge_density
     ]
-    return build_space(f"R{n}e{int(edge_density * 100)}s{seed}", pts, below)
+    # the name must tell densities apart: whole percentages keep the short
+    # form, any other density is spelled out in full
+    pct = int(edge_density * 100)
+    density = pct if pct / 100 == edge_density else repr(edge_density)
+    return build_space(f"R{n}e{density}s{seed}", pts, below)
 
 
 def random_map(dom: Space, cod: Space, seed: int = 0, name: str | None = None) -> TotalMap:
@@ -425,7 +372,10 @@ def search_lev_bas_witness(
 
     def verified(m: TotalMap) -> TotalMap:
         report = invariant_report(m)
-        assert report.lev1 == lev_t and report.bas == target_bas
+        if report.lev1 != lev_t or report.bas != target_bas:
+            raise InvalidWitnessError(
+                f"{m.name!r} has level {report.lev1} and basesize {report.bas}"
+            )
         return m
 
     candidates: list[TotalMap] = []
@@ -500,9 +450,9 @@ def search_antichain(
 
     def pairwise_incomparable(fam: Sequence[PartialMap]) -> bool:
         for a, b in combinations(fam, 2):
-            if _decide_one(a, b, relation, budget, cap) is not None:
+            if decide(a, b, relation, budget, cap) is not None:
                 return False
-            if _decide_one(b, a, relation, budget, cap) is not None:
+            if decide(b, a, relation, budget, cap) is not None:
                 return False
         return True
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .errors import ContredError
 from .spaces import PartialMap, Problem, _bits, restrict
 
 
@@ -112,7 +113,8 @@ def _level_chain(f: PartialMap, variant: int) -> list[int]:
             break
         chain.append(nxt)
     # finite strictly-descending chains must stop within |dom| + 1 stages
-    assert len(chain) <= f.dom.n + 1
+    if len(chain) > f.dom.n + 1:
+        raise ContredError(f"level chain of {f.name!r} failed to stabilize")
     return chain
 
 
@@ -298,10 +300,15 @@ def invariant_report(f: PartialMap) -> InvariantReport:
     for k in range(stages):
         s1 = ls1[min(k, len(ls1) - 1)]
         s2 = ls2[min(k, len(ls2) - 1)]
-        assert s1 <= s2
-    for _, l1, l2 in pointwise:
-        assert l1 <= l2
-    assert bas <= lev1 <= lev2
+        if not s1 <= s2:
+            raise ContredError(f"{f.name!r}: level set {k} shrinks under closure")
+    for x, l1, l2 in pointwise:
+        if not l1 <= l2:
+            raise ContredError(f"{f.name!r}: pointwise levels out of order at {x!r}")
+    if not bas <= lev1 <= lev2:
+        raise ContredError(
+            f"{f.name!r}: basesize {bas}, levels {lev1}, {lev2} out of order"
+        )
     return InvariantReport(
         f.name, ls1, ls2, lev1, lev2, pointwise, bas, conflict_graph(f)
     )

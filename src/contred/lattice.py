@@ -27,7 +27,7 @@ from .reducibility import (
     Budget,
     Witness0,
     Witness2,
-    _decide_one,
+    decide,
     le2_map,
     le2_problem,
     verify_witness0,
@@ -568,14 +568,14 @@ def verify_lub(
     fam = _family(family)
     violations = []
     for tag, item in fam:
-        if _decide_one(item, candidate, relation, budget, cap) is None:
+        if decide(item, candidate, relation, budget, cap) is None:
             violations.append(f"member {tag} ({item.name}) is not below the candidate")
     for other in pool:
         if all(
-            _decide_one(item, other, relation, budget, cap) is not None
+            decide(item, other, relation, budget, cap) is not None
             for _, item in fam
         ):
-            if _decide_one(candidate, other, relation, budget, cap) is None:
+            if decide(candidate, other, relation, budget, cap) is None:
                 violations.append(
                     f"pool item {other.name} bounds the family but not the candidate"
                 )
@@ -594,14 +594,14 @@ def verify_glb(
     fam = _family(family)
     violations = []
     for tag, item in fam:
-        if _decide_one(candidate, item, relation, budget, cap) is None:
+        if decide(candidate, item, relation, budget, cap) is None:
             violations.append(f"candidate is not below member {tag} ({item.name})")
     for other in pool:
         if all(
-            _decide_one(other, item, relation, budget, cap) is not None
+            decide(other, item, relation, budget, cap) is not None
             for _, item in fam
         ):
-            if _decide_one(other, candidate, relation, budget, cap) is None:
+            if decide(other, candidate, relation, budget, cap) is None:
                 violations.append(
                     f"pool item {other.name} bounds the family but not the candidate"
                 )

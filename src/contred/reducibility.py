@@ -19,6 +19,10 @@ it leaves this module; a successful decision can therefore be trusted
 without re-deriving it.  Searches count candidate extensions against a
 budget and raise :class:`CapacityError` when it runs out — exhaustion is
 never reported as "no".
+
+All the fast searches, and the enumeration of continuous maps, run on one
+backtracking kernel; the definitional oracle engine stays apart from it
+as an independent reference.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
+    TotalMap,
     compose,
     delta,
     empty_map,
@@ -39,10 +44,12 @@ from .spaces import (
     is_continuous,
     make_map,
     map_equal,
+    partial_map,
     pi_pair,
     pi_power,
     product,
     product_space,
+    total_map,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -112,83 +119,142 @@ class CompareResult:
     backward: object | None
 
 
-# -- shared backtracking scaffolding --------------------------------------
+# -- the backtracking kernel ----------------------------------------------
 
 
-def _comparable_prefix(space: Space, order: list[int]) -> list[list[tuple[int, int, int, int]]]:
-    """For each search step, the earlier steps assigned to comparable points.
+def _search(
+    up, order, options, fits, budget: Budget, leaf=None
+) -> list[int] | None:
+    """Assign values to the points of ``order`` by backtracking.
 
-    Entries are (step, point, below_fwd, below_bwd) with below_fwd set when
-    the earlier point lies below the current one.  Constraints in all the
-    searches here are pairwise between comparable points, so pruning
-    against exactly these suffices for completeness.
+    ``up[i]`` is the bitmask of points above point i.  Step k gives point
+    ``order[k]`` a value from ``options[k]``, tried in list order, each
+    spending one budget node; -1 leaves the point undefined and fits
+    everything.  A defined value must pass ``fits(lo, a, hi, b)`` against
+    every earlier comparable defined point, where point lo <= point hi
+    carry values a and b.  All constraints of the searches here are
+    pairwise between comparable points, so pruning against exactly these
+    loses no solution.
+
+    A complete assignment is accepted when ``leaf`` is None or returns
+    True for it; the point-indexed assignment (-1 off ``order``) is then
+    returned, else None.  A leaf that records its argument and returns
+    False enumerates every solution.
     """
-    up = space.up
-    prev: list[list[tuple[int, int, int, int]]] = []
+    prev = []
     for k, i in enumerate(order):
-        lst = []
-        for k2 in range(k):
-            i2 = order[k2]
-            ab = (up[i2] >> i) & 1
-            ba = (up[i] >> i2) & 1
-            if ab or ba:
-                lst.append((k2, i2, ab, ba))
-        prev.append(lst)
-    return prev
-
-
-# -- le0 ------------------------------------------------------------------
-
-
-def _le0_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] | None:
-    """Find G with q . G = p, G continuous and defined exactly on def(p)."""
-    X1, X2 = p.dom, q.dom
-    pv, qv = p.vec, q.vec
-    order = [i for i in range(X1.n) if pv[i] >= 0]
-    fibers = {
-        v: [j for j in range(X2.n) if qv[j] == v] for v in set(pv) if v >= 0
-    }
-    if any(not fibers[pv[i]] for i in order):
-        return None
-    prev = _comparable_prefix(X1, order)
-    upc = X2.up
-    assign = [-1] * len(order)
+        checks = []
+        for i2 in order[:k]:
+            below, above = (up[i2] >> i) & 1, (up[i] >> i2) & 1
+            if below or above:
+                checks.append((i2, below, above))
+        prev.append(checks)
+    assign = [-1] * len(up)
+    spend = budget.spend
+    n = len(order)
 
     def bt(k: int) -> bool:
-        if k == len(order):
-            return True
+        if k == n:
+            return leaf is None or leaf(assign)
         i = order[k]
-        for j in fibers[pv[i]]:
-            budget.spend()
+        for a in options[k]:
+            spend()
             ok = True
-            for k2, _i2, ab, ba in prev[k]:
-                j2 = assign[k2]
-                if ab and not (upc[j2] >> j) & 1:
-                    ok = False
-                    break
-                if ba and not (upc[j] >> j2) & 1:
-                    ok = False
-                    break
+            if a >= 0:
+                for i2, below, above in prev[k]:
+                    b = assign[i2]
+                    if b >= 0 and (
+                        (below and not fits(i2, b, i, a))
+                        or (above and not fits(i, a, i2, b))
+                    ):
+                        ok = False
+                        break
             if ok:
-                assign[k] = j
+                assign[i] = a
                 if bt(k + 1):
                     return True
+        assign[i] = -1
         return False
 
-    if not bt(0):
-        return None
-    out = [-1] * X1.n
-    for k, i in enumerate(order):
-        out[i] = assign[k]
+    return assign if bt(0) else None
+
+
+def _translation(lhs, rhs, gvec: list[int]) -> PartialMap:
+    """The translating map lhs.dom -> rhs.dom given by an index vector."""
+    X1, X2 = lhs.dom, rhs.dom
+    return make_map(
+        f"G[{lhs.name},{rhs.name}]",
+        X1,
+        X2,
+        {X1.points[i]: X2.points[j] for i, j in enumerate(gvec) if j >= 0},
+    )
+
+
+def _monotone(cod: Space):
+    """The ``fits`` of a continuous map into ``cod``: values rise with points."""
+    up = cod.up
+    return lambda lo, a, hi, b: (up[a] >> b) & 1
+
+
+# -- continuous maps by search -------------------------------------------
+
+ENUMERATION_CAP = 200_000
+
+
+def _continuous_vectors(
+    dom: Space, cod: Space, options: list[int]
+) -> list[tuple[int, ...]]:
+    """Value vectors of the maps dom -> cod that are continuous on their
+    domain of definition, lexicographic in ``options`` order."""
+    out: list[tuple[int, ...]] = []
+
+    def collect(vec: list[int]) -> bool:
+        out.append(tuple(vec))
+        return False
+
+    unbounded = Budget(float("inf"))
+    order = range(dom.n)
+    _search(dom.up, order, [options] * dom.n, _monotone(cod), unbounded, collect)
     return out
 
 
-def _witness0_from_vec(p: PartialMap, q: PartialMap, gvec: list[int]) -> Witness0:
-    rows = {
-        p.dom.points[i]: q.dom.points[j] for i, j in enumerate(gvec) if j >= 0
-    }
-    g = make_map(f"G[{p.name},{q.name}]", p.dom, q.dom, rows)
-    return Witness0(g)
+@lru_cache(maxsize=None)
+def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[TotalMap, ...]:
+    """All continuous total maps dom -> cod, in lexicographic value order."""
+    return tuple(
+        total_map(
+            f"c[{dom.name}>{cod.name}]{k}",
+            dom,
+            cod,
+            {dom.points[i]: cod.points[v] for i, v in enumerate(vec)},
+        )
+        for k, vec in enumerate(_continuous_vectors(dom, cod, list(range(cod.n))))
+    )
+
+
+@lru_cache(maxsize=None)
+def enumerate_continuous_partial(
+    dom: Space, cod: Space, cap: int = ENUMERATION_CAP
+) -> tuple[PartialMap, ...]:
+    """All partial maps dom -> cod continuous on their domain of
+    definition, lexicographic, undefined slots ordered first."""
+    if (cod.n + 1) ** dom.n > cap:
+        raise CapacityError(
+            f"{(cod.n + 1) ** dom.n} partial maps exceed the cap of {cap}"
+        )
+    vecs = _continuous_vectors(dom, cod, [-1, *range(cod.n)])
+    return tuple(
+        partial_map(
+            f"p[{dom.name}>{cod.name}]{k}",
+            dom,
+            cod,
+            {dom.points[i]: cod.points[v] for i, v in enumerate(vec) if v >= 0},
+        )
+        for k, vec in enumerate(vecs)
+    )
+
+
+# -- le0 ------------------------------------------------------------------
 
 
 def le0_map(
@@ -204,10 +270,15 @@ def le0_map(
             f"le0 needs a common codomain: {p.name!r} vs {q.name!r}"
         )
     b = _as_budget(budget)
-    gvec = _le0_search(p, q, b)
+    pv, qv = p.vec, q.vec
+    order = [i for i in range(p.dom.n) if pv[i] >= 0]
+    options = [[j for j in range(q.dom.n) if qv[j] == pv[i]] for i in order]
+    if not all(options):
+        return None
+    gvec = _search(p.dom.up, order, options, _monotone(q.dom), b)
     if gvec is None:
         return None
-    w = _witness0_from_vec(p, q, gvec)
+    w = Witness0(_translation(p, q, gvec))
     if not verify_witness0(p, q, w):
         raise InvalidWitnessError("le0 witness failed to replay")  # pragma: no cover
     return w
@@ -234,62 +305,22 @@ def le0_problem(
     X1, X2 = P.dom, Q.dom
     if not Q.members:
         w = Witness0(empty_map(X1, X2, f"G[{P.name},{Q.name}]"))
-        assert verify_witness0(P, Q, w)
+        if not verify_witness0(P, Q, w):
+            raise InvalidWitnessError("le0 witness failed to replay")
         return w
-    order = list(range(X1.n))
-    prev = _comparable_prefix(X1, order)
-    upc = X2.up
     qvecs = [m.vec for m in Q.members]
     member_vecs = P.member_vecs
-    assign = [-1] * X1.n
-    options = [-1] + list(range(X2.n))
-    spend = b.spend
 
-    def leaf_ok() -> bool:
-        for qv in qvecs:
-            comp = tuple(
-                qv[assign[i]] if assign[i] >= 0 else -1 for i in range(X1.n)
-            )
-            if comp not in member_vecs:
-                return False
-        return True
-
-    def bt(k: int) -> bool:
-        if k == X1.n:
-            return leaf_ok()
-        i = order[k]
-        for j in options:
-            spend()
-            if j >= 0:
-                ok = True
-                for k2, _i2, ab, ba in prev[k]:
-                    j2 = assign[k2]
-                    if j2 < 0:
-                        continue
-                    if ab and not (upc[j2] >> j) & 1:
-                        ok = False
-                        break
-                    if ba and not (upc[j] >> j2) & 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            assign[i] = j
-            if bt(k + 1):
-                return True
-            assign[i] = -1
-        return False
-
-    if not bt(0):
-        return None
-    w = Witness0(
-        make_map(
-            f"G[{P.name},{Q.name}]",
-            X1,
-            X2,
-            {X1.points[i]: X2.points[j] for i, j in enumerate(assign) if j >= 0},
+    def leaf(g: list[int]) -> bool:
+        return all(
+            tuple(qv[j] if j >= 0 else -1 for j in g) in member_vecs for qv in qvecs
         )
-    )
+
+    options = [[-1, *range(X2.n)]] * X1.n
+    gvec = _search(X1.up, range(X1.n), options, _monotone(X2), b, leaf)
+    if gvec is None:
+        return None
+    w = Witness0(_translation(P, Q, gvec))
     if not verify_witness0(P, Q, w):
         raise InvalidWitnessError("le0 witness failed to replay")  # pragma: no cover
     return w
@@ -307,66 +338,26 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] 
     answers satisfy q(G x) <= q(G x'), the targets must satisfy
     p(x) <= p(x').
     """
-    X1, X2 = p.dom, q.dom
     pv, qv = p.vec, q.vec
-    order = [i for i in range(X1.n) if pv[i] >= 0]
-    cands = [j for j in range(X2.n) if qv[j] >= 0]
+    order = [i for i in range(p.dom.n) if pv[i] >= 0]
+    cands = [j for j in range(q.dom.n) if qv[j] >= 0]
     if order and not cands:
         return None
-    prev = _comparable_prefix(X1, order)
-    upc = X2.up
-    upP = p.cod.up
-    upQ = q.cod.up
-    assign = [-1] * len(order)
-    spend = budget.spend
+    upc, upP, upQ = q.dom.up, p.cod.up, q.cod.up
 
-    def bt(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in cands:
-            spend()
-            ok = True
-            for k2, i2, ab, ba in prev[k]:
-                j2 = assign[k2]
-                if ab:
-                    if not (upc[j2] >> j) & 1:
-                        ok = False
-                        break
-                    if (upQ[qv[j2]] >> qv[j]) & 1 and not (upP[pv[i2]] >> pv[i]) & 1:
-                        ok = False
-                        break
-                if ba:
-                    if not (upc[j] >> j2) & 1:
-                        ok = False
-                        break
-                    if (upQ[qv[j]] >> qv[j2]) & 1 and not (upP[pv[i]] >> pv[i2]) & 1:
-                        ok = False
-                        break
-            if ok:
-                assign[k] = j
-                if bt(k + 1):
-                    return True
-        return False
+    def fits(lo: int, a: int, hi: int, b: int) -> bool:
+        if not (upc[a] >> b) & 1:
+            return False
+        return not (upQ[qv[a]] >> qv[b]) & 1 or (upP[pv[lo]] >> pv[hi]) & 1
 
-    if not bt(0):
-        return None
-    out = [-1] * X1.n
-    for k, i in enumerate(order):
-        out[i] = assign[k]
-    return out
+    return _search(p.dom.up, order, [cands] * len(order), fits, budget)
 
 
 def _witness2_from_gvec(
     p: PartialMap, q: PartialMap, gvec: list[int]
 ) -> Witness2:
     X1, Y2 = p.dom, q.cod
-    g = make_map(
-        f"G[{p.name},{q.name}]",
-        X1,
-        q.dom,
-        {X1.points[i]: q.dom.points[j] for i, j in enumerate(gvec) if j >= 0},
-    )
+    g = _translation(p, q, gvec)
     prod = product_space(X1, Y2)
     rows = {}
     for i, j in enumerate(gvec):
@@ -505,125 +496,61 @@ def le2_problem(
             empty_map(X1, X2, f"G[{P.name},{Q.name}]"),
             empty_map(prod, Y1, f"F[{P.name},{Q.name}]"),
         )
-        assert verify_witness2(P, Q, w)
+        if not verify_witness2(P, Q, w):
+            raise InvalidWitnessError("le2 witness failed to replay")
         return w
-    order = list(range(X1.n))
-    prev = _comparable_prefix(X1, order)
-    upc = X2.up
-    up1 = X1.up
-    upY2 = Y2.up
+    up1, upY2 = X1.up, Y2.up
     qvecs = [m.vec for m in Q.members]
     member_vecs = P.member_vecs
-    g_assign = [-1] * X1.n
-    g_options = [-1] + list(range(X2.n))
-    spend = b.spend
+    f_options = [-1, *range(Y1.n)]
+    f_fits = _monotone(Y1)
+    rows: dict[str, str] = {}
 
-    found: list[tuple[list[int], dict[tuple[int, int], int]]] = []
-
-    def f_search(reach: list[tuple[int, int]]) -> dict[tuple[int, int], int] | None:
-        f_assign: dict[tuple[int, int], int] = {}
-        f_options = [-1] + list(range(Y1.n))
-
-        def leaf_ok() -> bool:
-            for qv in qvecs:
-                comp = []
-                for i in range(X1.n):
-                    j = g_assign[i]
-                    if j < 0 or qv[j] < 0:
-                        comp.append(-1)
-                        continue
-                    comp.append(f_assign.get((i, qv[j]), -1))
-                if tuple(comp) not in member_vecs:
-                    return False
-            return True
-
-        def bt(k: int) -> bool:
-            if k == len(reach):
-                return leaf_ok()
-            i, y = reach[k]
-            for v in f_options:
-                spend()
-                if v >= 0:
-                    ok = True
-                    for k2 in range(k):
-                        i2, y2 = reach[k2]
-                        v2 = f_assign.get((i2, y2), -1)
-                        if v2 < 0:
-                            continue
-                        if (up1[i2] >> i) & 1 and (upY2[y2] >> y) & 1:
-                            if not (Y1.up[v2] >> v) & 1:
-                                ok = False
-                                break
-                        if (up1[i] >> i2) & 1 and (upY2[y] >> y2) & 1:
-                            if not (Y1.up[v] >> v2) & 1:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    f_assign[(i, y)] = v
-                else:
-                    f_assign.pop((i, y), None)
-                if bt(k + 1):
-                    return True
-            f_assign.pop((i, y), None)
-            return False
-
-        return dict(f_assign) if bt(0) else None
-
-    def g_bt(k: int) -> bool:
-        if k == X1.n:
-            reach = sorted(
-                {
-                    (i, qv[g_assign[i]])
-                    for qv in qvecs
-                    for i in range(X1.n)
-                    if g_assign[i] >= 0 and qv[g_assign[i]] >= 0
-                }
+    def g_leaf(g: list[int]) -> bool:
+        # the postprocessor's points: (x, answer) pairs in the product order
+        reach = sorted(
+            {
+                (i, qv[j])
+                for qv in qvecs
+                for i, j in enumerate(g)
+                if j >= 0 and qv[j] >= 0
+            }
+        )
+        at = {pair: k for k, pair in enumerate(reach)}
+        up = [
+            sum(
+                1 << k
+                for k, (i2, y2) in enumerate(reach)
+                if (up1[i] >> i2) & 1 and (upY2[y] >> y2) & 1
             )
-            res = f_search(reach)
-            if res is not None:
-                found.append((list(g_assign), res))
-                return True
-            return False
-        i = order[k]
-        for j in g_options:
-            spend()
-            if j >= 0:
-                ok = True
-                for k2, _i2, ab, ba in prev[k]:
-                    j2 = g_assign[k2]
-                    if j2 < 0:
-                        continue
-                    if ab and not (upc[j2] >> j) & 1:
-                        ok = False
-                        break
-                    if ba and not (upc[j] >> j2) & 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            g_assign[i] = j
-            if g_bt(k + 1):
-                return True
-            g_assign[i] = -1
-        return False
+            for i, y in reach
+        ]
 
-    if not g_bt(0):
+        def f_leaf(f: list[int]) -> bool:
+            return all(
+                tuple(
+                    f[at[i, qv[j]]] if j >= 0 and qv[j] >= 0 else -1
+                    for i, j in enumerate(g)
+                )
+                in member_vecs
+                for qv in qvecs
+            )
+
+        options = [f_options] * len(reach)
+        fvec = _search(up, range(len(reach)), options, f_fits, b, f_leaf)
+        if fvec is None:
+            return False
+        for (i, y), v in zip(reach, fvec):
+            if v >= 0:
+                rows[f"({X1.points[i]},{Y2.points[y]})"] = Y1.points[v]
+        return True
+
+    options = [[-1, *range(X2.n)]] * X1.n
+    gvec = _search(up1, range(X1.n), options, _monotone(X2), b, g_leaf)
+    if gvec is None:
         return None
-    gvec, f_table = found[0]
-    g = make_map(
-        f"G[{P.name},{Q.name}]",
-        X1,
-        X2,
-        {X1.points[i]: X2.points[j] for i, j in enumerate(gvec) if j >= 0},
-    )
-    rows = {
-        f"({X1.points[i]},{Y2.points[y]})": Y1.points[v]
-        for (i, y), v in f_table.items()
-        if v >= 0
-    }
     fmap = make_map(f"F[{P.name},{Q.name}]", prod, Y1, rows)
-    w = Witness2(g, fmap)
+    w = Witness2(_translation(P, Q, gvec), fmap)
     if not verify_witness2(P, Q, w):
         raise InvalidWitnessError("le2 witness failed to replay")  # pragma: no cover
     return w
@@ -659,7 +586,22 @@ def le_ct(
 # -- two-sided comparison -------------------------------------------------
 
 
-def _decide_one(a, b, relation: str, budget, cap: int):
+def decide(
+    a: PartialMap | Problem,
+    b: PartialMap | Problem,
+    relation: str = "le2",
+    budget: int | Budget | None = None,
+    cap: int = 3,
+) -> Witness0 | Witness2 | CtResult | None:
+    """Decide whether ``a`` reduces to ``b`` under ``relation``.
+
+    ``relation`` is ``le0`` (composition), ``le2`` (one query) or ``lect``
+    (one query against at most ``cap`` parallel copies, total maps only).
+    Two maps go to :func:`le0_map`, :func:`le2_map` or :func:`le_ct`; two
+    problems go to :func:`le0_problem` or :func:`le2_problem`.  Returns the
+    witness (for ``lect`` the :class:`CtResult`) when ``a`` reduces to
+    ``b``, and None when it does not.
+    """
     if isinstance(a, Problem) != isinstance(b, Problem):
         raise SpaceMismatchError("cannot compare a map with a problem")
     if relation == "le0":
@@ -686,8 +628,8 @@ def compare(
     cap: int = 3,
 ) -> CompareResult:
     """Decide both directions and classify the pair."""
-    forward = _decide_one(a, b, relation, budget, cap)
-    backward = _decide_one(b, a, relation, budget, cap)
+    forward = decide(a, b, relation, budget, cap)
+    backward = decide(b, a, relation, budget, cap)
     if forward and backward:
         verdict = "equivalent"
     elif forward:

@@ -9,11 +9,16 @@ independent formulation.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import contred
 from contred import (
     PartialMap,
     Problem,
@@ -204,6 +209,22 @@ def problems_st(draw, max_points: int = 3, max_members: int = 3):
     cod = draw(spaces_st(1, max_points))
     size = draw(st.integers(0, max_members))
     return random_problem(dom, cod, seed=draw(seeds), size=size)
+
+
+# --------------------------------------------------------------------------
+# fresh interpreters on the source under test
+# --------------------------------------------------------------------------
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with the contred these tests import on its path."""
+    src = str(Path(contred.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("CONTRED_BUDGET", None)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 # --------------------------------------------------------------------------

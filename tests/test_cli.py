@@ -1,13 +1,16 @@
-"""End-to-end runs of the command-line front end, in process."""
+"""End-to-end runs of the command-line front end, in process and as
+``python -m``."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 from contred.cli import main
 from contred.corpus import parse
 
-from conftest import assert_valid_dot
+from conftest import assert_valid_dot, run_python
 
 DEMO = """
 space S
@@ -355,3 +358,13 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "contred" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["contred", "contred.cli"])
+@pytest.mark.parametrize(
+    "lhs, rhs, verdict, code", [("flip", "flip", "yes", 0), ("blur2", "alt3", "no", 1)]
+)
+def test_python_dash_m_runs_the_cli(module, lhs, rhs, verdict, code):
+    fixtures = Path(__file__).parent / "golden" / "fixtures.clt"
+    done = run_python("-m", module, "check", "le2", lhs, rhs, str(fixtures))
+    assert (done.stdout, done.returncode) == (verdict + "\n", code), done.stderr

@@ -17,6 +17,8 @@ from contred import (
     basesize,
     chain,
     constant_map,
+    corpus_from_items,
+    decide,
     decompose_by_level,
     degree_poset,
     discrete,
@@ -31,12 +33,15 @@ from contred import (
     make_map,
     map_equal,
     mod_chain_map,
+    parse,
     random_map,
     random_partial_map,
     random_problem,
+    random_space,
     search_antichain,
     search_lev_bas_witness,
     sierpinski,
+    serialize,
     singleton_problem,
     sup0,
     sup2,
@@ -44,9 +49,8 @@ from contred import (
     total_map,
 )
 from contred.explore import enumerate_continuous_partial, enumerate_continuous_total
-from contred.reducibility import _decide_one
 
-from conftest import assert_valid_dot, seeds, spaces_st
+from conftest import assert_valid_dot, run_python, seeds, spaces_st
 
 S2 = sierpinski()
 D2 = discrete(2)
@@ -129,6 +133,40 @@ def test_degree_poset_input_validation():
         degree_poset([flip, total_map("flip", S2, S2, {"s0": "s0", "s1": "s1"})])
     with pytest.raises(SpaceMismatchError):
         degree_poset([flip, step], relation="le0")
+
+
+INTRANSITIVE_POSET = """
+import contred.explore
+from contred import (
+    ContredError, constant_map, degree_poset, discrete, sierpinski, total_map
+)
+
+S2, D2 = sierpinski(), discrete(2)
+below = {("flip", "step"), ("step", "k")}  # flip <= step <= k, but not flip <= k
+
+
+def fake_decide(a, b, *_):
+    return True if a.name == b.name or (a.name, b.name) in below else None
+
+
+contred.explore.decide = fake_decide
+items = [
+    total_map("flip", S2, S2, {"s0": "s1", "s1": "s0"}),
+    total_map("step", S2, D2, {"s0": "0", "s1": "1"}),
+    constant_map(S2, D2, "0", name="k"),
+]
+try:
+    degree_poset(items)
+except ContredError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_degree_poset_raises_on_an_intransitive_decider(flags):
+    done = run_python(*flags, "-c", INTRANSITIVE_POSET)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: le2 is not transitive"), done.stdout
 
 
 def test_dot_output_is_valid_and_deterministic():
@@ -270,8 +308,8 @@ def test_search_reports_exhaustion_distinctly():
 
 def _pairwise_incomparable(fam, relation):
     for a, b in itertools.combinations(fam, 2):
-        assert _decide_one(a, b, relation, None, 3) is None, (a.name, b.name)
-        assert _decide_one(b, a, relation, None, 3) is None, (b.name, a.name)
+        assert decide(a, b, relation, None, 3) is None, (a.name, b.name)
+        assert decide(b, a, relation, None, 3) is None, (b.name, a.name)
 
 
 def test_antichains_of_constants_under_composition_order():
@@ -299,6 +337,15 @@ def test_antichain_size_validation():
 
 
 # -- random generators -----------------------------------------------------
+
+
+def test_random_space_names_tell_densities_apart():
+    a, b = random_space(4, 0.29, 1), random_space(4, 0.28, 1)
+    assert a.up != b.up and a.name != b.name
+    assert random_space(4, 0.3, 1).name == "R4e30s1"
+    maps = [random_map(a, D2, seed=1), random_map(b, D2, seed=1)]
+    text = serialize(corpus_from_items(maps))
+    assert serialize(parse(text)) == text
 
 
 @given(spaces_st(1, 4), spaces_st(1, 4), seeds)

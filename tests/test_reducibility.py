@@ -35,6 +35,7 @@ from contred import (
     problem,
     random_continuous_map,
     random_map,
+    random_problem,
     relation,
     replay0,
     replay2,
@@ -208,6 +209,102 @@ def test_choice_function_problems_feed_the_problem_deciders():
     single = choice_functions(relation("F", D2, D2, [("0", "1"), ("1", "1")]))
     w = le2_problem(p, single)
     assert w is not None and verify_witness2(p, single, w)
+
+
+# -- problems against brute force (property-based) -----------------------
+
+
+def _monotone_partial_maps(dom, cod):
+    """Every partial map dom -> cod, as a dict, monotone where defined."""
+    for values in itertools.product((None, *cod.points), repeat=dom.n):
+        g = {x: y for x, y in zip(dom.points, values) if y is not None}
+        if all(cod.below(g[x], g[x2]) for x in g for x2 in g if dom.below(x, x2)):
+            yield g
+
+
+def brute_le0_problem(P, Q) -> bool:
+    """Some monotone partial G with every composite q . G a member of P."""
+    targets = {frozenset(m.mapping.items()) for m in P.members}
+    return any(
+        all(
+            frozenset((x, q.mapping[y]) for x, y in g.items() if y in q.mapping)
+            in targets
+            for q in Q.members
+        )
+        for g in _monotone_partial_maps(P.dom, Q.dom)
+    )
+
+
+def brute_le2_problem(P, Q) -> bool:
+    """Some monotone partial G and a choice of target p in P for each q in Q.
+
+    The choice forces F on every reached (x, q(G x)) pair to p(x), with
+    undefined meaning undefined; a (G, choice) works when those forced
+    values agree, every point p needs is reached, and F is monotone in the
+    product order.  F off the reached pairs is left undefined, which loses
+    no solution: restricting a monotone F keeps it monotone.
+    """
+    X1, Y1, Y2 = P.dom, P.cod, Q.cod
+    for g in _monotone_partial_maps(X1, Q.dom):
+        for choice in itertools.product(P.members, repeat=len(Q.members)):
+            forced = {}
+            consistent = True
+            for q, p in zip(Q.members, choice):
+                for x in X1.points:
+                    answer, want = q.mapping.get(g.get(x)), p.mapping.get(x)
+                    if answer is None:
+                        consistent = consistent and want is None
+                    elif forced.setdefault((x, answer), want) != want:
+                        consistent = False
+            defined = [(pair, v) for pair, v in forced.items() if v is not None]
+            if consistent and all(
+                Y1.below(v, v2)
+                for (x, a), v in defined
+                for (x2, a2), v2 in defined
+                if X1.below(x, x2) and Y2.below(a, a2)
+            ):
+                return True
+    return False
+
+
+@st.composite
+def problem_pairs_st(draw, common_cod: bool):
+    X1, X2 = draw(spaces_st(0, 3)), draw(spaces_st(0, 3))
+    Y1 = draw(spaces_st(1, 3))
+    Y2 = Y1 if common_cod else draw(spaces_st(1, 3))
+    P = random_problem(X1, Y1, seed=draw(seeds), size=draw(st.integers(0, 3)), name="P")
+    Q = random_problem(X2, Y2, seed=draw(seeds), size=draw(st.integers(1, 3)), name="Q")
+    return P, Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem_pairs_st(common_cod=False))
+def test_one_query_problems_agree_with_brute_force(pq):
+    P, Q = pq
+    w = le2_problem(P, Q)
+    assert (w is not None) == brute_le2_problem(P, Q)
+    if w is not None:
+        assert is_continuous(w.translation) and is_continuous(w.postprocess)
+        assert all(P.contains(replay2(w, q)) for q in Q.members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem_pairs_st(common_cod=True))
+def test_composition_problems_agree_with_brute_force(pq):
+    P, Q = pq
+    w = le0_problem(P, Q)
+    assert (w is not None) == brute_le0_problem(P, Q)
+    if w is not None:
+        assert is_continuous(w.translation)
+        assert all(P.contains(replay0(w, q)) for q in Q.members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces_st(4, 4), spaces_st(1, 3), spaces_st(4, 4), spaces_st(1, 3), seeds, seeds)
+def test_engines_agree_on_four_point_spaces(X1, Y1, X2, Y2, s1, s2):
+    f, g = random_map(X1, Y1, seed=s1), random_map(X2, Y2, seed=s2)
+    fast = le2_fn(f, g, engine="fast")
+    assert (fast is None) == (le2_fn(f, g, engine="oracle") is None)
 
 
 # -- capped parallel queries ----------------------------------------------
