@@ -17,21 +17,21 @@ composable triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as _iproduct
 from typing import Callable, Sequence
 
 from .errors import CapacityError, ContredError, SpaceMismatchError
 from .explore import DegreePoset
-from .lattice import _common_cod, fibered_with_projections, sup0, tagged
+from .lattice import _common_cod, _tupling, fibered_with_projections, sup0, tagged
 from .spaces import (
     PartialMap,
     Space,
     TotalMap,
+    _vec_map,
     compose,
     coproduct,
     is_continuous,
     map_equal,
-    product,
-    total_map,
 )
 
 HOM_CAP = 50_000
@@ -89,8 +89,8 @@ class FinCategory:
             for g in self.morphisms:
                 if (f.dst == g.src) != ((g.name, f.name) in self.table):
                     raise ValueError(
-                        f"table must cover exactly the composable pairs "
-                        f"({g.name}, {f.name})"
+                        f"table must cover exactly the composable pairs: "
+                        f"{g.name} after {f.name}"
                     )
         for f in self.morphisms:
             if self.table[(self.identities[f.dst], f.name)] != f.name:
@@ -168,24 +168,6 @@ class CategoryModel:
         return is_continuous(self.map_of(morphism))
 
 
-def _all_total_vecs(dom: Space, cod: Space):
-    if dom.n == 0:
-        yield ()
-        return
-    if cod.n == 0:
-        return
-    vec = [0] * dom.n
-    while True:
-        yield tuple(vec)
-        i = dom.n - 1
-        while i >= 0 and vec[i] == cod.n - 1:
-            vec[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        vec[i] += 1
-
-
 def space_category(
     spaces: Sequence[Space], name: str | None = None, cap: int = HOM_CAP
 ) -> CategoryModel:
@@ -207,12 +189,9 @@ def space_category(
     identities: dict[str, str] = {}
     for dom in spaces:
         for cod in spaces:
-            for k, vec in enumerate(_all_total_vecs(dom, cod)):
+            for k, vec in enumerate(_iproduct(range(cod.n), repeat=dom.n)):
                 label = f"{dom.name}>{cod.name}#{k}"
-                rows = {
-                    dom.points[i]: cod.points[v] for i, v in enumerate(vec)
-                }
-                m = total_map(label, dom, cod, rows)
+                m = _vec_map(label, dom, cod, vec)
                 morphisms.append(Morphism(label, dom.name, cod.name))
                 maps[label] = m
                 name_by_key[(dom.name, cod.name, vec)] = label
@@ -317,9 +296,8 @@ def coproduct_with_mediator(
     if candidates > cap:
         raise CapacityError(f"{candidates} candidate mediators exceed the cap")
     hits = 0
-    for vec in _all_total_vecs(cop.space, z):
-        rows = {cop.space.points[i]: z.points[v] for i, v in enumerate(vec)}
-        cand = total_map("cand", cop.space, z, rows)
+    for vec in _iproduct(range(z.n), repeat=cop.space.n):
+        cand = _vec_map("cand", cop.space, z, vec)
         if all(
             map_equal(compose(cand, inj), m)
             for inj, m in zip(cop.injections, cone)
@@ -382,17 +360,10 @@ def pullback_with_mediator(
     for leg in legs[1:]:
         if not map_equal(leg, legs[0]):
             raise ValueError("cone does not commute over the codomain")
-    by_combo = {
-        combo: pt
-        for pt, combo in product([m.dom for m in maps]).origin.items()
-    }
-    rows = {}
-    for x in q0.dom.points:
-        pt = by_combo[tuple(q.mapping[x] for q in cone)]
-        if pt not in sub.index:  # pragma: no cover - commuting cones land inside
-            raise ContredError("cone point misses the pullback object")
-        rows[x] = pt
-    mediator = total_map(f"tuple[{q0.dom.name}>{sub.name}]", q0.dom, sub, rows)
+    vec = _tupling(sub, projections, cone)
+    if -1 in vec:  # pragma: no cover - commuting cones land inside
+        raise ContredError("cone point misses the pullback object")
+    mediator = _vec_map(f"tuple[{q0.dom.name}>{sub.name}]", q0.dom, sub, vec)
     for p, q in zip(projections, cone):
         if not map_equal(compose(p, mediator), q):
             raise ContredError("mediator equation failed to replay")
@@ -402,9 +373,8 @@ def pullback_with_mediator(
     if candidates > cap:
         raise CapacityError(f"{candidates} candidate mediators exceed the cap")
     hits = 0
-    for vec in _all_total_vecs(q0.dom, sub):
-        rows = {q0.dom.points[i]: sub.points[v] for i, v in enumerate(vec)}
-        cand = total_map("cand", q0.dom, sub, rows)
+    for vec in _iproduct(range(sub.n), repeat=q0.dom.n):
+        cand = _vec_map("cand", q0.dom, sub, vec)
         if all(
             map_equal(compose(p, cand), q)
             for p, q in zip(projections, cone)

@@ -27,10 +27,10 @@ from .errors import (
 from .invariants import (
     UNBOUNDED,
     LevelValue,
+    _level_chain,
     basesize,
     invariant_report,
     level,
-    level_sets,
 )
 from .lattice import TaggedFamily, sup0, sup2, tagged
 from .reducibility import (
@@ -46,13 +46,14 @@ from .spaces import (
     Problem,
     Space,
     TotalMap,
+    _restrict_mask,
+    _vec_map,
     build_space,
     chain,
     discrete,
     indiscrete,
     partial_map,
     problem,
-    restrict,
     total_map,
 )
 
@@ -203,13 +204,12 @@ def decompose_by_level(
         raise ValueError("need at least one threshold")
     if any(t < 0 for t in thresholds) or list(thresholds) != sorted(set(thresholds)):
         raise ValueError("thresholds must be strictly ascending naturals")
-    chain2 = level_sets(f, 2)
+    chain2 = _level_chain(f, 2)
     parts = []
     tags = []
     for t in thresholds:
         stage = chain2[min(t, len(chain2) - 1)]
-        keep = [x for x in f.dom.points if x not in stage]
-        parts.append(restrict(f, keep, name=f"{f.name}@{t}"))
+        parts.append(_restrict_mask(f, f.dom.full_mask & ~stage, f"{f.name}@{t}"))
         tags.append(str(t))
     fam = tagged(parts, tags)
     joined = sup2(fam)
@@ -242,7 +242,7 @@ def admissible(f: PartialMap, budget: int | Budget | None = None) -> bool:
 
 
 def is_surjective(f: PartialMap) -> bool:
-    return set(f.mapping.values()) == set(f.cod.points)
+    return len(set(f.vec) - {-1}) == f.cod.n
 
 
 # -- catalog maps ---------------------------------------------------------
@@ -330,7 +330,7 @@ def random_continuous_map(
     pick = rng.choice(pool)
     if name is None:
         return pick
-    return total_map(name, dom, cod, dict(pick.table))
+    return _vec_map(name, dom, cod, pick.vec)
 
 
 def random_problem(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import ContredError
-from .spaces import PartialMap, Problem, _bits, restrict
+from .spaces import PartialMap, Problem, _bits
 
 
 @total_ordering
@@ -167,6 +167,11 @@ def conflict_graph(f: PartialMap) -> tuple[tuple[str, str], ...]:
     when its domain spans no edge.
     """
     pts = f.dom.points
+    return tuple((pts[i], pts[j]) for i, j in _conflict_pairs(f))
+
+
+def _conflict_pairs(f: PartialMap) -> list[tuple[int, int]]:
+    """The conflict graph's edges as point index pairs, lower index first."""
     vec = f.vec
     up = f.dom.up
     upc = f.cod.up
@@ -180,8 +185,8 @@ def conflict_graph(f: PartialMap) -> tuple[tuple[str, str], ...]:
             elif (up[j] >> i) & 1 and not (upc[vec[j]] >> vec[i]) & 1:
                 bad = True
             if bad:
-                edges.append((pts[i], pts[j]))
-    return tuple(edges)
+                edges.append((i, j))
+    return edges
 
 
 def _exact_coloring(adj: list[int]) -> tuple[int, list[int]]:
@@ -236,9 +241,8 @@ def _conflict_adjacency(f: PartialMap) -> tuple[list[int], list[int]]:
     verts = [i for i in _bits(f.def_mask)]
     pos = {i: k for k, i in enumerate(verts)}
     adj = [0] * len(verts)
-    for x, y in conflict_graph(f):
-        a = pos[f.dom.index[x]]
-        b = pos[f.dom.index[y]]
+    for i, j in _conflict_pairs(f):
+        a, b = pos[i], pos[j]
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return verts, adj

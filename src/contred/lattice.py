@@ -38,17 +38,15 @@ from .spaces import (
     Problem,
     Relation,
     Space,
-    TotalMap,
     _bits,
+    _restrict_mask,
+    _vec_map,
     choice_functions,
     coproduct,
-    identity_map,
-    make_map,
     problem,
     product,
     product_space,
     relation,
-    restrict,
     subspace,
 )
 
@@ -111,13 +109,16 @@ def sup2(
     fam = _family(family, tags)
     maps: tuple[PartialMap, ...] = fam.items
     dom = coproduct([m.dom for m in maps], fam.tags).space
-    cod = coproduct([m.cod for m in maps], fam.tags).space
-    rows = {}
-    for tag, m in fam:
-        for x, y in m.table:
-            rows[f"{tag}.{x}"] = f"{tag}.{y}"
+    cod = coproduct([m.cod for m in maps], fam.tags)
+    # the summands' points follow one another, so the vector is the members'
+    # vectors one after another, values moved into their tag's block
+    vec = [
+        inj.vec[v] if v >= 0 else -1
+        for m, inj in zip(maps, cod.injections)
+        for v in m.vec
+    ]
     label = name or "sup2(" + ",".join(m.name for m in maps) + ")"
-    return make_map(label, dom, cod, rows)
+    return _vec_map(label, dom, cod.space, vec)
 
 
 def sup2_problem(
@@ -159,17 +160,13 @@ def sup2_upper_witness(
     maps = fam.items
     pos = fam.tags.index(tag)
     member: PartialMap = maps[pos]
-    cop_dom = coproduct([m.dom for m in maps], fam.tags)
-    cod = coproduct([m.cod for m in maps], fam.tags).space
-    g = cop_dom.injections[pos]
-    prod = product((member.dom, cod))
-    cop_cod = coproduct([m.cod for m in maps], fam.tags)
-    rows = {}
-    for pt, (_x, tagged_y) in prod.origin.items():
-        t, y = cop_cod.origin[tagged_y]
-        if t == tag:
-            rows[pt] = y
-    f = make_map(f"untag[{tag}]", prod.space, member.cod, rows)
+    g = coproduct([m.dom for m in maps], fam.tags).injections[pos]
+    cod = coproduct([m.cod for m in maps], fam.tags)
+    untag = [-1] * cod.space.n
+    for y, v in enumerate(cod.injections[pos].vec):
+        untag[v] = y
+    prod = product_space(member.dom, cod.space)
+    f = _vec_map(f"untag[{tag}]", prod, member.cod, untag * member.dom.n)
     w = Witness2(g, f)
     if not verify_witness2(member, sup2(fam), w):
         raise InvalidWitnessError("sup2 upper witness failed to replay")
@@ -190,32 +187,22 @@ def sup2_least_witness(
     fam = _family(family, tags)
     maps = fam.items
     sup = sup2(fam)
-    cop_dom = coproduct([m.dom for m in maps], fam.tags)
+    cop_dom = coproduct([m.dom for m in maps], fam.tags).space
     cop_cod = coproduct([m.cod for m in maps], fam.tags)
-    g_rows = {}
-    for (tag, m), w in zip(fam, member_witnesses):
-        for x, y in w.translation.table:
-            g_rows[f"{tag}.{x}"] = y
-    g = make_map(f"G[sup,{bound.name}]", cop_dom.space, bound.dom, g_rows)
-    prod = product((cop_dom.space, bound.cod))
-    by_tag = dict(zip(fam.tags, member_witnesses))
-    member_by_tag = dict(fam.entries)
-    pair_names = {
-        t: {
-            combo: pt
-            for pt, combo in product(
-                (member_by_tag[t].dom, bound.cod)
-            ).origin.items()
-        }
-        for t in fam.tags
-    }
-    f_rows = {}
-    for pt, (tagged_x, v) in prod.origin.items():
-        t, x = cop_dom.origin[tagged_x]
-        val = by_tag[t].postprocess.mapping.get(pair_names[t][(x, v)])
-        if val is not None:
-            f_rows[pt] = f"{t}.{val}"
-    f = make_map(f"F[sup,{bound.name}]", prod.space, cop_cod.space, f_rows)
+    # both G's domain and F's (the coproduct times bound.cod) list the
+    # members' blocks one after another, so each vector is the members'
+    # vectors in turn
+    g_vec = [v for w in member_witnesses for v in w.translation.vec]
+    g = _vec_map(f"G[sup,{bound.name}]", cop_dom, bound.dom, g_vec)
+    f_vec = [
+        inj.vec[v] if v >= 0 else -1
+        for w, inj in zip(member_witnesses, cop_cod.injections)
+        for v in w.postprocess.vec
+    ]
+    prod = product_space(cop_dom, bound.cod)
+    if len(g_vec) != cop_dom.n or len(f_vec) != prod.n:
+        raise InvalidWitnessError("member witnesses do not fit the family")
+    f = _vec_map(f"F[sup,{bound.name}]", prod, cop_cod.space, f_vec)
     w = Witness2(g, f)
     if not verify_witness2(sup, bound, w):
         raise InvalidWitnessError("sup2 least witness failed to replay")
@@ -250,12 +237,9 @@ def sup0(
     maps: tuple[PartialMap, ...] = fam.items
     z = _common_cod(maps, cod)
     dom = coproduct([m.dom for m in maps], fam.tags).space
-    rows = {}
-    for tag, m in fam:
-        for x, y in m.table:
-            rows[f"{tag}.{x}"] = y
+    vec = [v for m in maps for v in m.vec]
     label = name or "sup0(" + ",".join(m.name for m in maps) + ")"
-    return make_map(label, dom, z, rows)
+    return _vec_map(label, dom, z, vec)
 
 
 def sup0_problem(
@@ -308,13 +292,11 @@ def sup0_least_witness(
 ) -> Witness0:
     """Member translations glued componentwise over the coproduct."""
     fam = _family(family, tags)
-    cop = coproduct([m.dom for m in fam.items], fam.tags)
-    rows = {}
-    for (tag, _m), w in zip(fam, member_witnesses):
-        for x, y in w.translation.table:
-            rows[f"{tag}.{x}"] = y
-    g = make_map(f"G[sup0,{bound.name}]", cop.space, bound.dom, rows)
-    w = Witness0(g)
+    dom = coproduct([m.dom for m in fam.items], fam.tags).space
+    vec = [v for w in member_witnesses for v in w.translation.vec]
+    if len(vec) != dom.n:
+        raise InvalidWitnessError("member witnesses do not fit the family")
+    w = Witness0(_vec_map(f"G[sup0,{bound.name}]", dom, bound.dom, vec))
     if not verify_witness0(sup0(fam), bound, w):
         raise InvalidWitnessError("sup0 least witness failed to replay")
     return w
@@ -351,25 +333,29 @@ def fibered_with_projections(
     z = _common_cod(maps, None)
     prod = product([m.dom for m in maps])
     agreeing = []
-    values = {}
-    for pt, combo in prod.origin.items():
-        vals = {m.mapping[c] for m, c in zip(maps, combo)}
+    values = []
+    for a in range(prod.space.n):
+        vals = {m.vec[pr.vec[a]] for m, pr in zip(maps, prod.projections)}
         if len(vals) == 1:
-            agreeing.append(pt)
-            values[pt] = next(iter(vals))
+            agreeing.append(a)
+            values.extend(vals)
     label = name or "inf0(" + ",".join(m.name for m in maps) + ")"
-    sub = subspace(prod.space, agreeing, name=f"eq[{label}]")
+    pts = prod.space.points
+    sub = subspace(prod.space, [pts[a] for a in agreeing], name=f"eq[{label}]")
     projections = tuple(
-        make_map(
-            f"pr{k}[{label}]",
-            sub,
-            maps[k].dom,
-            {pt: prod.origin[pt][k] for pt in sub.points},
-        )
-        for k in range(len(maps))
+        _vec_map(f"pr{k}[{label}]", sub, m.dom, [pr.vec[a] for a in agreeing])
+        for k, (m, pr) in enumerate(zip(maps, prod.projections))
     )
-    common = make_map(label, sub, z, {pt: values[pt] for pt in sub.points})
+    common = _vec_map(label, sub, z, values)
     return sub, projections, common
+
+
+def _tupling(sub: Space, projections, legs) -> list[int]:
+    """Send x to the point of the fibred subspace ``sub`` whose coordinates
+    are the legs' values at x; -1 where a leg is undefined or that tuple
+    is not in the subspace."""
+    at = {tuple(pr.vec[k] for pr in projections): k for k in range(sub.n)}
+    return [at.get(images, -1) for images in zip(*(leg.vec for leg in legs))]
 
 
 def inf0(
@@ -389,12 +375,8 @@ def inf0(
     if not len(fam):
         if cod is None:
             raise ValueError("empty family needs an explicit codomain")
-        src = _indiscrete_copy(cod)
-        return TotalMap(
-            name or f"top({cod.name})",
-            src,
-            cod,
-            tuple((p, p) for p in cod.points),
+        return _vec_map(
+            name or f"top({cod.name})", _indiscrete_copy(cod), cod, range(cod.n)
         )
     _, _, common = fibered_with_projections(fam, name=name)
     return common
@@ -423,27 +405,20 @@ def inf0_greatest_witness(
 ) -> Witness0:
     """Tuple the member translations; agreement lands them in the subspace."""
     fam = _family(family, tags)
-    maps = fam.items
-    sub, _, common = fibered_with_projections(fam)
-    by_combo = {
-        combo: pt for pt, combo in product([m.dom for m in maps]).origin.items()
-    }
-    rows = {}
-    for x in lower.dom.points:
-        images = tuple(w.translation.mapping.get(x) for w in member_witnesses)
-        if any(v is None for v in images):
-            continue
-        pt = by_combo[images]
-        if pt in sub.index:
-            rows[x] = pt
-    g = make_map(f"G[{lower.name},inf0]", lower.dom, sub, rows)
-    w = Witness0(g)
+    sub, projections, common = fibered_with_projections(fam)
+    vec = _tupling(sub, projections, [w.translation for w in member_witnesses])
+    w = Witness0(_vec_map(f"G[{lower.name},inf0]", lower.dom, sub, vec))
     if not verify_witness0(lower, common, w):
         raise InvalidWitnessError("inf0 greatest witness failed to replay")
     return w
 
 
 # -- distributivity -------------------------------------------------------
+
+
+def _tag_at(tags: Sequence[str], spaces: Sequence[Space]) -> list[str]:
+    """The tag of each point of the coproduct of ``spaces``, by index."""
+    return [t for t, s in zip(tags, spaces) for _ in range(s.n)]
 
 
 def distribute2(
@@ -465,28 +440,27 @@ def distribute2(
     sup = sup2(fam)
     if not verify_witness2(f, sup, witness):
         raise InvalidWitnessError("witness does not reduce f to the sup")
-    cop = coproduct([m.dom for m in fam.items], fam.tags)
-    g = witness.translation
-    buckets: dict[str, set[str]] = {t: set() for t in fam.tags}
-    for x in f.dom.points:
-        if not f.defined_at(x):
-            continue
-        target = g.mapping.get(x)
-        if target is None:
-            raise InvalidWitnessError(f"translation undefined at defined point {x!r}")
-        buckets[cop.origin[target][0]].add(x)
+    gv = witness.translation.vec
+    tag_at = _tag_at(fam.tags, [m.dom for m in fam.items])
     dm = f.def_mask
+    buckets = dict.fromkeys(fam.tags, 0)
+    for i in _bits(dm):
+        if gv[i] < 0:
+            raise InvalidWitnessError(
+                f"translation undefined at defined point {f.dom.points[i]!r}"
+            )
+        buckets[tag_at[gv[i]]] |= 1 << i
     up = f.dom.up
     down = f.dom.down
     parts = []
     for t in fam.tags:
-        mask = f.dom.mask_of(buckets[t])
+        mask = buckets[t]
         for i in _bits(mask):
             if (up[i] & dm) & ~mask or (down[i] & dm) & ~mask:
                 raise ContredError(
                     f"component preimage for tag {t!r} is not clopen"
                 )
-        parts.append(restrict(f, buckets[t], name=f"{f.name}_{t}"))
+        parts.append(_restrict_mask(f, mask, f"{f.name}_{t}"))
     for (t, g_t), f_t in zip(fam, parts):
         if le2_map(f_t, g_t, budget) is None:
             raise ContredError(f"piece {f_t.name!r} does not reduce to {g_t.name!r}")
@@ -510,17 +484,15 @@ def distribute2_relation(
     Q = sup2_problem([choice_functions(s, cap) for s in fam.items], fam.tags, cap=cap)
     if not verify_witness2(P, Q, witness):
         raise InvalidWitnessError("witness does not reduce the choice problems")
-    cop = coproduct([s.dom for s in fam.items], fam.tags)
-    g = witness.translation
-    sources = {x for x, _ in rel.pairs}
+    gv = witness.translation.vec
+    tag_at = _tag_at(fam.tags, [s.dom for s in fam.items])
     buckets: dict[str, set[str]] = {t: set() for t in fam.tags}
-    for x in rel.dom.points:
-        if x not in sources:
+    for x, target in zip(rel.dom.points, gv):
+        if x not in rel.targets:
             continue
-        target = g.mapping.get(x)
-        if target is None:
+        if target < 0:
             raise InvalidWitnessError(f"translation undefined at source {x!r}")
-        buckets[cop.origin[target][0]].add(x)
+        buckets[tag_at[target]].add(x)
     parts = tuple(
         relation(
             f"{rel.name}_{t}",

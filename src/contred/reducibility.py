@@ -37,19 +37,16 @@ from .spaces import (
     Problem,
     Space,
     TotalMap,
+    _vec_map,
     compose,
     delta,
     empty_map,
     identity_map,
     is_continuous,
-    make_map,
-    map_equal,
-    partial_map,
     pi_pair,
     pi_power,
     product,
     product_space,
-    total_map,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -181,13 +178,7 @@ def _search(
 
 def _translation(lhs, rhs, gvec: list[int]) -> PartialMap:
     """The translating map lhs.dom -> rhs.dom given by an index vector."""
-    X1, X2 = lhs.dom, rhs.dom
-    return make_map(
-        f"G[{lhs.name},{rhs.name}]",
-        X1,
-        X2,
-        {X1.points[i]: X2.points[j] for i, j in enumerate(gvec) if j >= 0},
-    )
+    return _vec_map(f"G[{lhs.name},{rhs.name}]", lhs.dom, rhs.dom, gvec)
 
 
 def _monotone(cod: Space):
@@ -221,14 +212,10 @@ def _continuous_vectors(
 @lru_cache(maxsize=None)
 def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[TotalMap, ...]:
     """All continuous total maps dom -> cod, in lexicographic value order."""
+    vecs = _continuous_vectors(dom, cod, list(range(cod.n)))
     return tuple(
-        total_map(
-            f"c[{dom.name}>{cod.name}]{k}",
-            dom,
-            cod,
-            {dom.points[i]: cod.points[v] for i, v in enumerate(vec)},
-        )
-        for k, vec in enumerate(_continuous_vectors(dom, cod, list(range(cod.n))))
+        _vec_map(f"c[{dom.name}>{cod.name}]{k}", dom, cod, vec)
+        for k, vec in enumerate(vecs)
     )
 
 
@@ -244,12 +231,7 @@ def enumerate_continuous_partial(
         )
     vecs = _continuous_vectors(dom, cod, [-1, *range(cod.n)])
     return tuple(
-        partial_map(
-            f"p[{dom.name}>{cod.name}]{k}",
-            dom,
-            cod,
-            {dom.points[i]: cod.points[v] for i, v in enumerate(vec) if v >= 0},
-        )
+        _vec_map(f"p[{dom.name}>{cod.name}]{k}", dom, cod, vec)
         for k, vec in enumerate(vecs)
     )
 
@@ -356,17 +338,16 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] 
 def _witness2_from_gvec(
     p: PartialMap, q: PartialMap, gvec: list[int]
 ) -> Witness2:
+    """G from its vector, and the postprocessor the defining equation
+    forces on the reached pairs: F(x, q(G x)) = p(x)."""
     X1, Y2 = p.dom, q.cod
-    g = _translation(p, q, gvec)
-    prod = product_space(X1, Y2)
-    rows = {}
+    pv, qv = p.vec, q.vec
+    fvec = [-1] * (X1.n * Y2.n)
     for i, j in enumerate(gvec):
-        if j < 0:
-            continue
-        answer = Y2.points[q.vec[j]]
-        rows[f"({X1.points[i]},{answer})"] = p.cod.points[p.vec[i]]
-    f = make_map(f"F[{p.name},{q.name}]", prod, p.cod, rows)
-    return Witness2(g, f)
+        if j >= 0:
+            fvec[i * Y2.n + qv[j]] = pv[i]
+    f = _vec_map(f"F[{p.name},{q.name}]", product_space(X1, Y2), p.cod, fvec)
+    return Witness2(_translation(p, q, gvec), f)
 
 
 def le2_map(
@@ -504,7 +485,7 @@ def le2_problem(
     member_vecs = P.member_vecs
     f_options = [-1, *range(Y1.n)]
     f_fits = _monotone(Y1)
-    rows: dict[str, str] = {}
+    fvec_full = [-1] * prod.n
 
     def g_leaf(g: list[int]) -> bool:
         # the postprocessor's points: (x, answer) pairs in the product order
@@ -541,15 +522,14 @@ def le2_problem(
         if fvec is None:
             return False
         for (i, y), v in zip(reach, fvec):
-            if v >= 0:
-                rows[f"({X1.points[i]},{Y2.points[y]})"] = Y1.points[v]
+            fvec_full[i * Y2.n + y] = v
         return True
 
     options = [[-1, *range(X2.n)]] * X1.n
     gvec = _search(up1, range(X1.n), options, _monotone(X2), b, g_leaf)
     if gvec is None:
         return None
-    fmap = make_map(f"F[{P.name},{Q.name}]", prod, Y1, rows)
+    fmap = _vec_map(f"F[{P.name},{Q.name}]", prod, Y1, fvec_full)
     w = Witness2(_translation(P, Q, gvec), fmap)
     if not verify_witness2(P, Q, w):
         raise InvalidWitnessError("le2 witness failed to replay")  # pragma: no cover
@@ -656,26 +636,46 @@ def replay2(w: Witness2, g: PartialMap) -> PartialMap:
     return compose(w.postprocess, inner)
 
 
+def _sends_into(lhs, rhs, composite) -> bool:
+    """Whether ``composite`` (a right-hand map -> the value vector of the
+    reduction built on it) turns rhs into lhs: the map itself, or for
+    problems some member for every member."""
+    if isinstance(lhs, Problem) != isinstance(rhs, Problem):
+        return False
+    if isinstance(rhs, Problem):
+        return all(composite(m) in lhs.member_vecs for m in rhs.members)
+    return composite(rhs) == lhs.vec
+
+
 def verify_witness0(
     lhs: PartialMap | Problem, rhs: PartialMap | Problem, w: Witness0
 ) -> bool:
-    """Replay a composition witness against its defining equation."""
+    """Replay a composition witness pointwise: q(G x) = p(x), undefined
+    exactly where p is, for a continuous G between the domains."""
     g = w.translation
     if g.dom != lhs.dom or g.cod != rhs.dom:
         return False
     if not is_continuous(g):
         return False
-    if isinstance(lhs, Problem) != isinstance(rhs, Problem):
-        return False
-    if isinstance(rhs, Problem):
-        return all(lhs.contains(replay0(w, m)) for m in rhs.members)
-    return map_equal(replay0(w, rhs), lhs)
+    gv = g.vec
+
+    def composite(q: PartialMap) -> tuple[int, ...]:
+        if q.cod != lhs.cod:
+            raise SpaceMismatchError(
+                f"le0 replay needs a common codomain: {lhs.name!r} vs {q.name!r}"
+            )
+        qv = q.vec
+        return tuple(qv[j] if j >= 0 else -1 for j in gv)
+
+    return _sends_into(lhs, rhs, composite)
 
 
 def verify_witness2(
     lhs: PartialMap | Problem, rhs: PartialMap | Problem, w: Witness2
 ) -> bool:
-    """Replay a one-query witness against its defining equation."""
+    """Replay a one-query witness pointwise: F(x, q(G x)) = p(x), undefined
+    exactly where p is, for continuous G and F on the right spaces.  This
+    is the defining composite of :func:`replay2` without building it."""
     g, f = w.translation, w.postprocess
     if g.dom != lhs.dom or g.cod != rhs.dom:
         return False
@@ -683,11 +683,16 @@ def verify_witness2(
         return False
     if not is_continuous(g) or not is_continuous(f):
         return False
-    if isinstance(lhs, Problem) != isinstance(rhs, Problem):
-        return False
-    if isinstance(rhs, Problem):
-        return all(lhs.contains(replay2(w, m)) for m in rhs.members)
-    return map_equal(replay2(w, rhs), lhs)
+    gv, fv, k = g.vec, f.vec, rhs.cod.n
+
+    def composite(q: PartialMap) -> tuple[int, ...]:
+        qv = q.vec
+        return tuple(
+            fv[x * k + qv[j]] if j >= 0 and qv[j] >= 0 else -1
+            for x, j in enumerate(gv)
+        )
+
+    return _sends_into(lhs, rhs, composite)
 
 
 def witness0_to_witness2(
@@ -713,22 +718,13 @@ def compose_witness2(w_ab: Witness2, w_bc: Witness2, far_cod: Space) -> Witness2
     """
     g_ab, f_ab = w_ab.translation, w_ab.postprocess
     g_bc, f_bc = w_bc.translation, w_bc.postprocess
-    g = compose(g_bc, g_ab)
-    X1 = g_ab.dom
-    prod = product((X1, far_cod))
-    rows = {}
-    for pt, (x, z) in prod.origin.items():
-        mid_input = g_ab.mapping.get(x)
-        if mid_input is None:
-            continue
-        mid_answer = f_bc.mapping.get(f"({mid_input},{z})")
-        if mid_answer is None:
-            continue
-        val = f_ab.mapping.get(f"({x},{mid_answer})")
-        if val is None:
-            continue
-        rows[pt] = val
-    f = make_map(
-        f"F[{f_ab.name}.{f_bc.name}]", prod.space, f_ab.cod, rows
-    )
-    return Witness2(g, f)
+    gv, bc, ab = g_ab.vec, f_bc.vec, f_ab.vec
+    m, k = f_bc.cod.n, far_cod.n
+    vec = []
+    for x, mid_input in enumerate(gv):
+        for z in range(k):
+            mid_answer = bc[mid_input * k + z] if mid_input >= 0 else -1
+            vec.append(ab[x * m + mid_answer] if mid_answer >= 0 else -1)
+    prod = product_space(g_ab.dom, far_cod)
+    f = _vec_map(f"F[{f_ab.name}.{f_bc.name}]", prod, f_ab.cod, vec)
+    return Witness2(compose(g_bc, g_ab), f)

@@ -5,8 +5,10 @@ means x lies in the closure of {y}.  Open sets are exactly the up-sets of
 that preorder, closed sets the down-sets, and a map between finite spaces
 is continuous iff it is monotone with respect to ``below``.  All
 operations (closure, subspace, product, coproduct, composition, ...) are
-phrased in terms of point index bitmasks, which keeps the exhaustive
-searches elsewhere in the package cheap.
+phrased in terms of point indices: sets are bitmasks, a map is the vector
+of its value indices, and product and coproduct points are found by
+arithmetic on the factors' indices.  Point names are read and written
+only where maps are built from rows or shown as rows.
 
 Partiality stands in for subspaces: a partial map is a map whose domain
 of definition carries the subspace structure, so restriction never has to
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, SpaceMismatchError
 
@@ -245,11 +247,15 @@ def chain(n: int, name: str | None = None) -> Space:
 # -- maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PartialMap:
     """A partial map between finite spaces.
 
-    ``table`` holds (point, value) rows ordered by domain point index.
+    ``vec`` is the map's data: the value index per domain point index, -1
+    where the map is undefined.  ``table`` ((point, value) rows in domain
+    order), ``mapping`` and ``defined_on`` are the named views the corpus,
+    the CLI and name-level callers read; they are derived on first use.
+    The constructor takes rows; derived maps are built from vectors.
     Continuity is not required: these are arbitrary set-level maps whose
     continuity is a property checked by :func:`is_continuous`.
     """
@@ -257,16 +263,13 @@ class PartialMap:
     name: str
     dom: Space
     cod: Space
-    table: tuple[tuple[str, str], ...]
+    vec: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for x, y in self.table:
-            self.dom.point_index(x)
-            self.cod.point_index(y)
-            if x in seen:
-                raise ValueError(f"duplicate row for {x!r} in map {self.name!r}")
-            seen.add(x)
+    def __init__(
+        self, name: str, dom: Space, cod: Space, table: Iterable[tuple[str, str]]
+    ) -> None:
+        vec = _rows_vec(name, dom, cod, table)
+        self.__dict__.update(name=name, dom=dom, cod=cod, vec=vec)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -277,13 +280,13 @@ class PartialMap:
             self.name == other.name
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.table == other.table
+            and self.vec == other.vec
         )
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.name, self.dom, self.cod, self.table))
+            h = hash((self.name, self.dom, self.cod, self.vec))
             self.__dict__["_hash"] = h
         return h
 
@@ -292,16 +295,13 @@ class PartialMap:
         return f"{kind}({self.name!r}: {self.dom.name} -> {self.cod.name})"
 
     @cached_property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.table)
+    def table(self) -> tuple[tuple[str, str], ...]:
+        pts, vals = self.dom.points, self.cod.points
+        return tuple((pts[i], vals[v]) for i, v in enumerate(self.vec) if v >= 0)
 
     @cached_property
-    def vec(self) -> tuple[int, ...]:
-        """Value index per domain point index; -1 where undefined."""
-        v = [-1] * self.dom.n
-        for x, y in self.table:
-            v[self.dom.index[x]] = self.cod.index[y]
-        return tuple(v)
+    def mapping(self) -> dict[str, str]:
+        return dict(self.table)
 
     @cached_property
     def def_mask(self) -> int:
@@ -317,42 +317,53 @@ class PartialMap:
 
     @cached_property
     def is_total(self) -> bool:
-        return len(self.table) == self.dom.n
+        return -1 not in self.vec
 
     def defined_at(self, x: str) -> bool:
-        self.dom.point_index(x)
-        return x in self.mapping
+        return self.vec[self.dom.point_index(x)] >= 0
 
     def __call__(self, x: str) -> str:
-        self.dom.point_index(x)
-        try:
-            return self.mapping[x]
-        except KeyError:
-            raise ValueError(f"map {self.name!r} undefined at {x!r}") from None
+        v = self.vec[self.dom.point_index(x)]
+        if v < 0:
+            raise ValueError(f"map {self.name!r} undefined at {x!r}")
+        return self.cod.points[v]
 
 
-@dataclass(frozen=True, eq=False)
 class TotalMap(PartialMap):
     """A partial map that happens to be defined everywhere."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.table) != self.dom.n:
-            missing = sorted(set(self.dom.points) - {x for x, _ in self.table})
+    def __init__(
+        self, name: str, dom: Space, cod: Space, table: Iterable[tuple[str, str]]
+    ) -> None:
+        super().__init__(name, dom, cod, table)
+        if not self.is_total:
+            missing = sorted(dom.points[i] for i, v in enumerate(self.vec) if v < 0)
             raise ValueError(
                 f"map {self.name!r} is not total (missing {', '.join(missing)})"
             )
 
 
-def _normalize_table(
-    dom: Space, cod: Space, mapping: Mapping[str, str] | Iterable[tuple[str, str]]
-) -> tuple[tuple[str, str], ...]:
-    entries = dict(mapping)
-    for x in entries:
-        dom.point_index(x)
-    return tuple(
-        (x, entries[x]) for x in dom.points if x in entries
-    )
+def _rows_vec(
+    name: str, dom: Space, cod: Space, table: Iterable[tuple[str, str]]
+) -> tuple[int, ...]:
+    """The value vector of (point, value) rows, each point at most once."""
+    vec = [-1] * dom.n
+    for x, y in table:
+        i = dom.point_index(x)
+        j = cod.point_index(y)
+        if vec[i] >= 0:
+            raise ValueError(f"duplicate row for {x!r} in map {name!r}")
+        vec[i] = j
+    return tuple(vec)
+
+
+def _vec_map(name: str, dom: Space, cod: Space, vec: Iterable[int]) -> PartialMap:
+    """The map with value vector ``vec`` (-1: undefined), a TotalMap when it
+    is defined everywhere.  Every derived map is built here, on indices."""
+    vec = tuple(vec)
+    m = object.__new__(PartialMap if -1 in vec else TotalMap)
+    m.__dict__.update(name=name, dom=dom, cod=cod, vec=vec)
+    return m
 
 
 def partial_map(
@@ -361,7 +372,7 @@ def partial_map(
     cod: Space,
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> PartialMap:
-    return PartialMap(name, dom, cod, _normalize_table(dom, cod, mapping))
+    return PartialMap(name, dom, cod, dict(mapping).items())
 
 
 def total_map(
@@ -370,7 +381,7 @@ def total_map(
     cod: Space,
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> TotalMap:
-    return TotalMap(name, dom, cod, _normalize_table(dom, cod, mapping))
+    return TotalMap(name, dom, cod, dict(mapping).items())
 
 
 def make_map(
@@ -380,22 +391,16 @@ def make_map(
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> PartialMap:
     """Build a TotalMap when the table covers the domain, else a PartialMap."""
-    table = _normalize_table(dom, cod, mapping)
-    cls = TotalMap if len(table) == dom.n else PartialMap
-    return cls(name, dom, cod, table)
+    return _vec_map(name, dom, cod, _rows_vec(name, dom, cod, dict(mapping).items()))
 
 
 def identity_map(space: Space, name: str | None = None) -> TotalMap:
-    return TotalMap(
-        name or f"id_{space.name}", space, space, tuple((p, p) for p in space.points)
-    )
+    return _vec_map(name or f"id_{space.name}", space, space, range(space.n))
 
 
 def constant_map(dom: Space, cod: Space, value: str, name: str | None = None) -> TotalMap:
-    cod.point_index(value)
-    return TotalMap(
-        name or f"const_{value}", dom, cod, tuple((p, value) for p in dom.points)
-    )
+    j = cod.point_index(value)
+    return _vec_map(name or f"const_{value}", dom, cod, [j] * dom.n)
 
 
 def empty_map(dom: Space, cod: Space, name: str | None = None) -> PartialMap:
@@ -440,54 +445,83 @@ def is_continuous(f: PartialMap) -> bool:
 # -- products and coproducts ---------------------------------------------
 
 
-class ProductResult(NamedTuple):
+_ESCAPE = str.maketrans({c: "\\" + c for c in "\\,()."})
+
+
+def _tuple_names(parts: Sequence[Sequence[str]], spell) -> tuple[str, ...]:
+    """``spell`` of each tuple of component names; when two tuples would
+    share a name, every component is escaped first, which is injective."""
+    names = tuple(spell(p) for p in parts)
+    if len(set(names)) < len(names):
+        names = tuple(spell([c.translate(_ESCAPE) for c in p]) for p in parts)
+    return names
+
+
+@dataclass(frozen=True)
+class ProductResult:
     space: Space
     projections: tuple[TotalMap, ...]
-    origin: dict[str, tuple[str, ...]]
+
+    @cached_property
+    def origin(self) -> dict[str, tuple[str, ...]]:
+        """Point name -> the names of its coordinates."""
+        return {
+            pt: tuple(pr.cod.points[pr.vec[a]] for pr in self.projections)
+            for a, pt in enumerate(self.space.points)
+        }
 
 
-class CoproductResult(NamedTuple):
+@dataclass(frozen=True)
+class CoproductResult:
     space: Space
     injections: tuple[TotalMap, ...]
-    origin: dict[str, tuple[str, str]]
+    tags: tuple[str, ...]
+
+    @cached_property
+    def origin(self) -> dict[str, tuple[str, str]]:
+        """Point name -> (tag, point of the summand)."""
+        pts = self.space.points
+        return {
+            pts[v]: (tag, inj.dom.points[i])
+            for tag, inj in zip(self.tags, self.injections)
+            for i, v in enumerate(inj.vec)
+        }
 
 
 @lru_cache(maxsize=None)
-def _product_cached(spaces: tuple[Space, ...], name: str) -> ProductResult:
-    k = len(spaces)
-    combos = list(_iproduct(*(s.points for s in spaces)))
-    pts = tuple("(" + ",".join(c) + ")" for c in combos)
-    idx_combos = list(_iproduct(*(range(s.n) for s in spaces)))
-    n = len(combos)
-    up = [0] * n
-    for a in range(n):
-        ca = idx_combos[a]
-        for b in range(n):
-            cb = idx_combos[b]
-            if all((spaces[t].up[ca[t]] >> cb[t]) & 1 for t in range(k)):
-                up[a] |= 1 << b
+def _product_cached(spaces: tuple[Space, ...], name: str | None) -> ProductResult:
+    name = name or "prod(" + ",".join(s.name for s in spaces) + ")"
+    combos = list(_iproduct(*(range(s.n) for s in spaces)))
+    pts = _tuple_names(
+        [[s.points[i] for s, i in zip(spaces, c)] for c in combos],
+        lambda parts: "(" + ",".join(parts) + ")",
+    )
+    # add one factor at a time: (a, i) is below (a', i') exactly when a is
+    # below a' and i below i', and (a', i') sits at index a' * n + i'
+    up = [1]
+    for s in spaces:
+        up = [sum(u << (a * s.n) for a in _bits(m)) for m in up for u in s.up]
     space = Space(name, pts, tuple(up))
     projections = tuple(
-        TotalMap(
-            f"pr{t}_{name}",
-            space,
-            spaces[t],
-            tuple((pts[a], spaces[t].points[idx_combos[a][t]]) for a in range(n)),
-        )
-        for t in range(k)
+        _vec_map(f"pr{t}_{name}", space, s, [c[t] for c in combos])
+        for t, s in enumerate(spaces)
     )
-    origin = {pts[a]: combos[a] for a in range(n)}
-    return ProductResult(space, projections, origin)
+    return ProductResult(space, projections)
 
 
 def product(spaces: Sequence[Space], name: str | None = None) -> ProductResult:
-    """Topological product with componentwise below; empty products are rejected."""
+    """Topological product with componentwise below; empty products are rejected.
+
+    The point with coordinates (i_1, ..., i_k) sits at index
+    (...(i_1 * n_2 + i_2) * n_3 + ...) * n_k + i_k, the first factor
+    varying slowest; for two factors, (i, j) is at i * n_2 + j.  Points are
+    named "(x,y)", or from escaped coordinate names ("(a\\,b,c)") when
+    that spelling would give two points one name.
+    """
     spaces = tuple(spaces)
     if not spaces:
         raise ValueError("empty product has no canonical point set; refusing")
-    return _product_cached(
-        spaces, name or "prod(" + ",".join(s.name for s in spaces) + ")"
-    )
+    return _product_cached(spaces, name)
 
 
 def product_space(a: Space, b: Space) -> Space:
@@ -499,30 +533,22 @@ def product_space(a: Space, b: Space) -> Space:
 def _coproduct_cached(
     spaces: tuple[Space, ...], tags: tuple[str, ...], name: str
 ) -> CoproductResult:
-    pts: list[str] = []
-    up: list[int] = []
-    origin: dict[str, tuple[str, str]] = {}
-    offsets: list[int] = []
-    off = 0
-    for tag, s in zip(tags, spaces):
-        offsets.append(off)
-        for i, p in enumerate(s.points):
-            q = f"{tag}.{p}"
-            pts.append(q)
-            origin[q] = (tag, p)
-            up.append(s.up[i] << off)
-        off += s.n
-    space = Space(name, tuple(pts), tuple(up))
-    injections = tuple(
-        TotalMap(
-            f"in{tag}_{name}",
-            s,
-            space,
-            tuple((p, f"{tag}.{p}") for p in s.points),
-        )
-        for tag, s in zip(tags, spaces)
+    pts = _tuple_names(
+        [(tag, p) for tag, s in zip(tags, spaces) for p in s.points],
+        lambda parts: f"{parts[0]}.{parts[1]}",
     )
-    return CoproductResult(space, injections, origin)
+    up: list[int] = []
+    blocks = []
+    for s in spaces:
+        off = len(up)
+        blocks.append(range(off, off + s.n))
+        up.extend(m << off for m in s.up)
+    space = Space(name, pts, tuple(up))
+    injections = tuple(
+        _vec_map(f"in{tag}_{name}", s, space, block)
+        for tag, s, block in zip(tags, spaces, blocks)
+    )
+    return CoproductResult(space, injections, tags)
 
 
 def coproduct(
@@ -530,7 +556,12 @@ def coproduct(
     tags: Sequence[str] | None = None,
     name: str | None = None,
 ) -> CoproductResult:
-    """Disjoint union; points are tagged "tag.point".  Empty family allowed."""
+    """Disjoint union; points are tagged "tag.point".  Empty family allowed.
+
+    The summands' points follow one another in family order, so summand k
+    starts at the total size of the summands before it.  As for products,
+    names are escaped when "tag.point" would give two points one name.
+    """
     spaces = tuple(spaces)
     if tags is None:
         tags = tuple(str(i) for i in range(len(spaces)))
@@ -569,34 +600,25 @@ def compose(g: PartialMap, f: PartialMap, name: str | None = None) -> PartialMap
             f"cannot compose {g.name!r} after {f.name!r}: "
             f"{f.cod.name} != {g.dom.name}"
         )
-    rows = {}
-    for x, y in f.table:
-        z = g.mapping.get(y)
-        if z is not None:
-            rows[x] = z
-    return make_map(name or f"({g.name}.{f.name})", f.dom, g.cod, rows)
+    gv = g.vec
+    vec = [gv[y] if y >= 0 else -1 for y in f.vec]
+    return _vec_map(name or f"({g.name}.{f.name})", f.dom, g.cod, vec)
 
 
 def delta(space: Space, name: str | None = None) -> TotalMap:
     """The diagonal x -> (x,x) into the binary self-product."""
+    n = space.n
     prod = product_space(space, space)
-    return TotalMap(
-        name or f"delta_{space.name}",
-        space,
-        prod,
-        tuple((p, f"({p},{p})") for p in space.points),
-    )
+    return _vec_map(name or f"delta_{space.name}", space, prod, [i * n + i for i in range(n)])
 
 
 def pi_pair(f: PartialMap, g: PartialMap, name: str | None = None) -> PartialMap:
     """Componentwise pairing (x,y) -> (f x, g y) on the product spaces."""
     dom = product_space(f.dom, g.dom)
     cod = product_space(f.cod, g.cod)
-    rows = {}
-    for x, fx in f.table:
-        for y, gy in g.table:
-            rows[f"({x},{y})"] = f"({fx},{gy})"
-    return make_map(name or f"({f.name}pi{g.name})", dom, cod, rows)
+    m = g.cod.n
+    vec = [a * m + b if a >= 0 and b >= 0 else -1 for a in f.vec for b in g.vec]
+    return _vec_map(name or f"({f.name}pi{g.name})", dom, cod, vec)
 
 
 def pi_power(f: PartialMap, n: int, name: str | None = None) -> PartialMap:
@@ -607,20 +629,24 @@ def pi_power(f: PartialMap, n: int, name: str | None = None) -> PartialMap:
         return f
     dom = product([f.dom] * n).space
     cod = product([f.cod] * n).space
-    dom_origin = product([f.dom] * n).origin
-    rows = {}
-    for p, combo in dom_origin.items():
-        vals = [f.mapping.get(c) for c in combo]
-        if all(v is not None for v in vals):
-            rows[p] = "(" + ",".join(vals) + ")"  # type: ignore[arg-type]
-    return make_map(name or f"{f.name}^{n}", dom, cod, rows)
+    m = f.cod.n
+    vec = []
+    for combo in _iproduct(f.vec, repeat=n):
+        v = 0
+        for c in combo:
+            v = v * m + c if c >= 0 and v >= 0 else -1
+        vec.append(v)
+    return _vec_map(name or f"{f.name}^{n}", dom, cod, vec)
 
 
 def restrict(f: PartialMap, subset: Iterable[str], name: str | None = None) -> PartialMap:
     """Narrow the domain of definition; the domain space is unchanged."""
-    m = f.dom.mask_of(subset)
-    rows = [(x, y) for x, y in f.table if (m >> f.dom.index[x]) & 1]
-    return make_map(name or f"{f.name}|", f.dom, f.cod, rows)
+    return _restrict_mask(f, f.dom.mask_of(subset), name or f"{f.name}|")
+
+
+def _restrict_mask(f: PartialMap, mask: int, name: str) -> PartialMap:
+    vec = [v if (mask >> i) & 1 else -1 for i, v in enumerate(f.vec)]
+    return _vec_map(name, f.dom, f.cod, vec)
 
 
 def map_equal(f: PartialMap, g: PartialMap) -> bool:
