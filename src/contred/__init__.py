@@ -22,7 +22,6 @@ from .spaces import (
     Problem,
     Relation,
     Space,
-    TotalMap,
     build_space,
     chain,
     choice_functions,

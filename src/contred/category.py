@@ -26,7 +26,6 @@ from .lattice import _common_cod, _tupling, fibered_with_projections, sup0, tagg
 from .spaces import (
     PartialMap,
     Space,
-    TotalMap,
     _vec_map,
     compose,
     coproduct,
@@ -158,9 +157,9 @@ class CategoryModel:
 
     category: FinCategory
     spaces: dict[str, Space]
-    maps: dict[str, TotalMap]
+    maps: dict[str, PartialMap]
 
-    def map_of(self, morphism: Morphism | str) -> TotalMap:
+    def map_of(self, morphism: Morphism | str) -> PartialMap:
         name = morphism if isinstance(morphism, str) else morphism.name
         return self.maps[name]
 
@@ -184,7 +183,7 @@ def space_category(
         raise CapacityError(f"{count} morphisms exceed the cap of {cap}")
     space_by_name = {s.name: s for s in spaces}
     morphisms: list[Morphism] = []
-    maps: dict[str, TotalMap] = {}
+    maps: dict[str, PartialMap] = {}
     name_by_key: dict[tuple[str, str, tuple[int, ...]], str] = {}
     identities: dict[str, str] = {}
     for dom in spaces:
@@ -259,13 +258,13 @@ def le0_cat(
 @dataclass(frozen=True)
 class CoproductResultCat:
     space: Space
-    injections: tuple[TotalMap, ...]
-    mediator: TotalMap
+    injections: tuple[PartialMap, ...]
+    mediator: PartialMap
     unique: bool
 
 
 def coproduct_with_mediator(
-    cone: Sequence[TotalMap],
+    cone: Sequence[PartialMap],
     tags: Sequence[str] | None = None,
     cod: Space | None = None,
     cap: int = HOM_CAP,
@@ -314,14 +313,14 @@ class PullbackResultCat:
     space: Space
     projections: tuple[PartialMap, ...]
     common: PartialMap
-    mediator: TotalMap | None
+    mediator: PartialMap | None
     mediator_continuous: bool | None
     unique: bool | None
 
 
 def pullback_with_mediator(
-    maps: Sequence[TotalMap],
-    cone: Sequence[TotalMap] | None = None,
+    maps: Sequence[PartialMap],
+    cone: Sequence[PartialMap] | None = None,
     tags: Sequence[str] | None = None,
     cap: int = HOM_CAP,
 ) -> PullbackResultCat:

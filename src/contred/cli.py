@@ -2,9 +2,12 @@
 
 Items live in .clt corpus files; any argument ending in ``.clt`` names a
 corpus file and every other positional is an item declared in one of
-them.  Exit codes: 0 yes/success, 1 no (for ``check``), 2 usage or
-corpus errors, 3 exhausted search/capacity budgets.  Search budgets obey
-``--budget`` first, then the ``CONTRED_BUDGET`` environment variable.
+them.  ``main`` looks the items up before any command runs, so a name of
+the wrong kind (a space, a relation, a problem where only maps are taken)
+is a usage error.  Exit codes: 0 yes/success, 1 no (for ``check``), 2
+usage or corpus errors, 3 exhausted search/capacity budgets.  Search
+budgets obey ``--budget`` first, then the ``CONTRED_BUDGET`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -55,32 +58,42 @@ def _load_corpus(files: list[str]) -> Corpus:
     return merged
 
 
-def _split_rest(rest: list[str]) -> tuple[list[str], list[str]]:
-    names = [a for a in rest if not a.endswith(".clt")]
-    files = [a for a in rest if a.endswith(".clt")]
-    return names, files
-
-
-def _items(corpus: Corpus, names: list[str]) -> list:
-    out = []
-    for n in names:
+def _resolve_items(args) -> list:
+    """Look up the items a command names in the corpora it names."""
+    names = [a for a in args.rest if not a.endswith(".clt")]
+    if args.count is not None and len(names) != args.count:
+        wanted = "one item name" if args.count == 1 else "exactly two item names"
+        raise CorpusError(f"{args.command} takes {wanted}")
+    corpus = _load_corpus([a for a in args.rest if a.endswith(".clt")])
+    items = []
+    for name in names:
         try:
-            out.append(corpus.item(n))
+            item = corpus.item(name)
         except KeyError:
-            raise CorpusError(f"nothing named {n!r} in the loaded corpora")
-    return out
+            raise CorpusError(f"nothing named {name!r} in the loaded corpora")
+        kind = "map" if isinstance(item, PartialMap) else type(item).__name__.lower()
+        if kind not in args.takes:
+            raise CorpusError(
+                f"{name!r} is a {kind}; {args.command} works on "
+                + " or ".join(k + "s" for k in args.takes)
+            )
+        items.append(item)
+    return items
 
 
-def _resolve_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("CONTRED_BUDGET")
-    if env:
+def _resolve_budget(flag: int | None) -> int | None:
+    source, budget = "--budget", flag
+    if budget is None:
+        env = os.environ.get("CONTRED_BUDGET")
+        if not env:
+            return None
         try:
-            return int(env)
+            source, budget = "CONTRED_BUDGET", int(env)
         except ValueError:
             raise CorpusError(f"CONTRED_BUDGET={env!r} is not an integer")
-    return None
+    if budget < 0:
+        raise CorpusError(f"{source} is a number of search nodes, not {budget}")
+    return budget
 
 
 def _print_witness(found) -> None:
@@ -93,13 +106,9 @@ def _print_witness(found) -> None:
         print(serialize(corpus_from_items([found.translation])), end="")
 
 
-def _cmd_check(args) -> int:
-    names, files = _split_rest(args.rest)
-    if len(names) != 2:
-        raise CorpusError("check needs exactly two item names")
-    corpus = _load_corpus(files)
-    lhs, rhs = _items(corpus, names)
-    found = decide(lhs, rhs, args.relation, _resolve_budget(args), args.cap)
+def _cmd_check(args, items) -> int:
+    lhs, rhs = items
+    found = decide(lhs, rhs, args.relation, args.budget, args.cap)
     if found is None:
         print("no")
         return 1
@@ -109,59 +118,37 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _fmt_level(value) -> str:
-    return str(value)
-
-
-def _cmd_invariants(args) -> int:
-    names, files = _split_rest(args.rest)
-    if len(names) != 1:
-        raise CorpusError("invariants takes one item name")
-    item = _items(_load_corpus(files), names)[0]
+def _cmd_invariants(args, items) -> int:
+    (item,) = items
     if isinstance(item, Problem):
-        l1, l2, b = (
-            level_problem(item, 1),
-            level_problem(item, 2),
-            basesize_problem(item),
-        )
-    elif isinstance(item, PartialMap):
-        l1, l2, b = level(item, 1), level(item, 2), basesize(item)
+        lev, bas = level_problem, basesize_problem
     else:
-        raise CorpusError(f"{names[0]!r} is a space; invariants need a map or problem")
-    print(f"lev1={_fmt_level(l1)} lev2={_fmt_level(l2)} bas={b}")
+        lev, bas = level, basesize
+    print(f"lev1={lev(item, 1)} lev2={lev(item, 2)} bas={bas(item)}")
     return 0
 
 
-def _cmd_sup(args) -> int:
-    names, files = _split_rest(args.rest)
-    items = _items(_load_corpus(files), names)
+def _cmd_sup(args, items) -> int:
     problems = [isinstance(x, Problem) for x in items]
     if any(problems) and not all(problems):
         raise CorpusError("sup items must be all maps or all problems")
-    if args.relation == "le2":
-        built = (sup2_problem if all(problems) and items else sup2)(
-            items, name=args.name
-        )
+    if all(problems) and items:
+        join = sup2_problem if args.relation == "le2" else sup0_problem
     else:
-        built = (sup0_problem if all(problems) and items else sup0)(
-            items, name=args.name
-        )
+        join = sup2 if args.relation == "le2" else sup0
+    built = join(items, name=args.name)
     print(serialize(corpus_from_items([built])), end="")
     return 0
 
 
-def _cmd_inf(args) -> int:
-    names, files = _split_rest(args.rest)
-    items = _items(_load_corpus(files), names)
+def _cmd_inf(args, items) -> int:
     built = inf0(items, name=args.name)
     print(serialize(corpus_from_items([built])), end="")
     return 0
 
 
-def _cmd_poset(args) -> int:
-    names, files = _split_rest(args.rest)
-    items = _items(_load_corpus(files), names)
-    po = degree_poset(items, args.relation, _resolve_budget(args), args.cap)
+def _cmd_poset(args, items) -> int:
+    po = degree_poset(items, args.relation, args.budget, args.cap)
     if args.dot:
         print(to_dot(po), end="")
         return 0
@@ -172,36 +159,24 @@ def _cmd_poset(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    names, files = _split_rest(args.rest)
-    if len(names) != 1:
-        raise CorpusError("decompose takes one item name")
-    item = _items(_load_corpus(files), names)[0]
-    if not isinstance(item, PartialMap):
-        raise CorpusError("decompose works on maps")
+def _cmd_decompose(args, items) -> int:
     try:
         thresholds = tuple(int(t) for t in args.thresholds.split(","))
     except ValueError:
         raise CorpusError(f"bad threshold list {args.thresholds!r}")
-    result = decompose_by_level(item, thresholds, _resolve_budget(args))
+    result = decompose_by_level(items[0], thresholds, args.budget)
     print(serialize(corpus_from_items(result.parts.items)), end="")
     print(f"holds: {'yes' if result.holds else 'no'}")
     return 0
 
 
-def _cmd_admissible(args) -> int:
-    names, files = _split_rest(args.rest)
-    if len(names) != 1:
-        raise CorpusError("admissible takes one map name")
-    item = _items(_load_corpus(files), names)[0]
-    if not isinstance(item, PartialMap):
-        raise CorpusError("admissible works on maps")
-    verdict = admissible(item, _resolve_budget(args))
+def _cmd_admissible(args, items) -> int:
+    verdict = admissible(items[0], args.budget)
     print("admissible: " + ("yes" if verdict else "no"))
     return 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args, items) -> int:
     have_pair = args.lev is not None or args.bas is not None
     if args.antichain is not None:
         if have_pair:
@@ -211,7 +186,7 @@ def _cmd_search(args) -> int:
             args.relation,
             max_points=args.max_points,
             seed=args.seed,
-            budget=_resolve_budget(args),
+            budget=args.budget,
         )
         print(serialize(corpus_from_items(fam)), end="")
         return 0
@@ -232,48 +207,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True):
+    def common(p, handler, count=None, takes=("map", "problem"), budget=True):
+        # count: how many item names the command takes (None: any number);
+        # takes: the kinds of item it works on (None: it reads no items)
         p.add_argument("rest", nargs="*", metavar="ITEM|FILE.clt")
         if budget:
             p.add_argument("--budget", type=int, default=None)
+        p.set_defaults(handler=handler, count=count, takes=takes)
 
     p = sub.add_parser("check", help="decide one reducibility, with witness")
     p.add_argument("relation", choices=["le0", "le2", "lect"])
     p.add_argument("--cap", type=int, default=3)
     p.add_argument("--witness", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_check)
+    common(p, _cmd_check, count=2)
 
     p = sub.add_parser("invariants", help="level and basesize table")
-    common(p, budget=False)
-    p.set_defaults(handler=_cmd_invariants)
+    common(p, _cmd_invariants, count=1, budget=False)
 
     p = sub.add_parser("sup", help="join of maps or problems")
     p.add_argument("relation", choices=["le0", "le2"])
     p.add_argument("--name", default=None)
-    common(p, budget=False)
-    p.set_defaults(handler=_cmd_sup)
+    common(p, _cmd_sup, budget=False)
 
     p = sub.add_parser("inf", help="meet of total maps with one codomain")
     p.add_argument("--name", default=None)
-    common(p, budget=False)
-    p.set_defaults(handler=_cmd_inf)
+    common(p, _cmd_inf, takes=("map",), budget=False)
 
     p = sub.add_parser("poset", help="degree poset, plain or DOT")
     p.add_argument("relation", choices=["le0", "le2", "lect"])
     p.add_argument("--cap", type=int, default=3)
     p.add_argument("--dot", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_poset)
+    common(p, _cmd_poset)
 
     p = sub.add_parser("decompose", help="slice a map below its level sets")
     p.add_argument("--thresholds", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_decompose)
+    common(p, _cmd_decompose, count=1, takes=("map",))
 
     p = sub.add_parser("admissible", help="compare against the full continuous join")
-    common(p)
-    p.set_defaults(handler=_cmd_admissible)
+    common(p, _cmd_admissible, count=1, takes=("map",))
 
     p = sub.add_parser("search", help="hunt for invariant witnesses or antichains")
     p.add_argument("--lev", default=None)
@@ -282,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", choices=["le0", "le2", "lect"], default="le2")
     p.add_argument("--max-points", type=int, default=8, dest="max_points")
     p.add_argument("--seed", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_search)
+    common(p, _cmd_search, takes=None)
 
     return top
 
@@ -296,7 +266,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return args.handler(args)
+        items = _resolve_items(args) if args.takes else []
+        if "budget" in args:
+            args.budget = _resolve_budget(args.budget)
+        return args.handler(args, items)
     except CapacityError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

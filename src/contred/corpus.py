@@ -86,49 +86,47 @@ def _split_header(parts: list[str], lineno: int) -> tuple[str, str, str]:
 
 def parse(text: str) -> Corpus:
     corpus = Corpus()
-    block: str | None = None
-    lines = text.splitlines()
-    i = 0
+    # (line number, tokens) of every line that holds more than a comment
+    lines = (
+        (lineno, parts)
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if (parts := line.split("#", 1)[0].split())
+    )
+
+    def block(head: str, name: str, opened: int):
+        """The lines of the block opened at line ``opened``, up to its ``end``."""
+        for lineno, parts in lines:
+            if parts[0] == "end":
+                return
+            yield lineno, parts
+        raise CorpusError(f"{head} {name!r} never ends", opened)
 
     def resolve_space(name: str, lineno: int) -> Space:
         if name not in corpus.spaces:
             raise CorpusError(f"undeclared space {name!r}", lineno)
         return corpus.spaces[name]
 
-    def declare(pool: dict, name: str, lineno: int):
-        for kind, p in (
-            ("space", corpus.spaces),
-            ("map", corpus.maps),
-            ("relation", corpus.relations),
-            ("problem", corpus.problems),
-        ):
-            if p is pool and name in p:
-                raise CorpusError(f"duplicate {kind} {name!r}", lineno)
-
-    while i < len(lines):
-        lineno = i + 1
-        parts = lines[i].split("#", 1)[0].split()
-        i += 1
-        if not parts:
-            continue
-        head, rest = parts[0], parts[1:]
+    for opened, (head, *rest) in lines:
+        if head not in ("space", "map", "relation", "problem"):
+            raise CorpusError(f"unknown declaration {head!r}", opened)
         if head == "space":
             if len(rest) != 1:
-                raise CorpusError("expected 'space NAME'", lineno)
+                raise CorpusError("expected 'space NAME'", opened)
             name = rest[0]
-            declare(corpus.spaces, name, lineno)
+        else:
+            name, dom_name, cod_name = _split_header(
+                rest[:5] if head == "map" else rest, opened
+            )
+            marker = rest[5:] if head == "map" else []
+            if marker and marker != ["partial"]:
+                raise CorpusError(f"unexpected tokens {marker}", opened)
+        if name in getattr(corpus, head + "s"):
+            raise CorpusError(f"duplicate {head} {name!r}", opened)
+
+        if head == "space":
             points: list[str] = []
             below: list[tuple[str, str]] = []
-            while True:
-                if i >= len(lines):
-                    raise CorpusError(f"space {name!r} never ends", lineno)
-                lineno = i + 1
-                parts = lines[i].split("#", 1)[0].split()
-                i += 1
-                if not parts:
-                    continue
-                if parts[0] == "end":
-                    break
+            for lineno, parts in block(head, name, opened):
                 if parts[0] == "points":
                     for p in parts[1:]:
                         if p in points:
@@ -144,79 +142,57 @@ def parse(text: str) -> Corpus:
                 else:
                     raise CorpusError(f"unknown directive {parts[0]!r}", lineno)
             corpus.spaces[name] = build_space(name, points, below)
-        elif head in ("map", "relation", "problem"):
-            name, dom_name, cod_name = _split_header(
-                rest[:5] if head == "map" else rest, lineno
-            )
-            marker = rest[5:] if head == "map" else []
-            if marker and marker != ["partial"]:
-                raise CorpusError(f"unexpected tokens {marker}", lineno)
-            partial = bool(marker)
-            declare(getattr(corpus, head + "s"), name, lineno)
-            dom = resolve_space(dom_name, lineno)
-            cod = resolve_space(cod_name, lineno)
-            rows: list[tuple[str, list[str]]] = []
-            members: list[str] = []
-            opened = lineno
-            while True:
-                if i >= len(lines):
-                    raise CorpusError(f"{head} {name!r} never ends", opened)
-                lineno = i + 1
-                parts = lines[i].split("#", 1)[0].split()
-                i += 1
-                if not parts:
-                    continue
-                if parts[0] == "end":
-                    break
-                if head == "problem":
-                    if parts[0] != "members" or len(parts) < 2:
-                        raise CorpusError("expected 'members NAME...'", lineno)
-                    members.extend(parts[1:])
-                    continue
-                if len(parts) < 3 or parts[1] != "->":
-                    raise CorpusError("expected 'POINT -> POINT...'", lineno)
-                if head == "map" and len(parts) != 3:
-                    raise CorpusError("map rows take one value", lineno)
-                if parts[0] not in dom.index:
-                    raise CorpusError(
-                        f"{parts[0]!r} is not a point of {dom.name!r}", lineno
-                    )
-                targets = list(dict.fromkeys(parts[2:]))
-                for p in targets:
-                    if p not in cod.index:
-                        raise CorpusError(
-                            f"{p!r} is not a point of {cod.name!r}", lineno
-                        )
-                if parts[0] in {r[0] for r in rows}:
-                    raise CorpusError(f"duplicate row for {parts[0]!r}", lineno)
-                rows.append((parts[0], targets))
-            if head == "map":
-                table = {p: vs[0] for p, vs in rows}
-                if not partial and len(table) != dom.n:
-                    raise CorpusError(
-                        f"map {name!r} is missing rows; mark it partial", opened
-                    )
-                corpus.maps[name] = make_map(name, dom, cod, table)
-            elif head == "relation":
-                pairs = [(p, v) for p, vs in rows for v in vs]
-                corpus.relations[name] = relation(name, dom, cod, pairs)
-            else:
-                missing = [m for m in members if m not in corpus.maps]
-                if missing:
-                    raise CorpusError(f"undeclared map {missing[0]!r}", lineno)
-                picked = []
-                for m in dict.fromkeys(members):
-                    f = corpus.maps[m]
+            continue
+
+        dom = resolve_space(dom_name, opened)
+        cod = resolve_space(cod_name, opened)
+        if head == "problem":
+            members: dict[str, PartialMap] = {}
+            for lineno, parts in block(head, name, opened):
+                if parts[0] != "members" or len(parts) < 2:
+                    raise CorpusError("expected 'members NAME...'", lineno)
+                for m in parts[1:]:
+                    if m not in corpus.maps:
+                        raise CorpusError(f"undeclared map {m!r}", lineno)
+                    f = members[m] = corpus.maps[m]
                     if f.dom != dom or f.cod != cod:
                         raise CorpusError(
                             f"member {m!r} maps {f.dom.name} -> {f.cod.name}, "
                             f"not {dom_name} -> {cod_name}",
                             lineno,
                         )
-                    picked.append(f)
-                corpus.problems[name] = problem(name, dom, cod, picked)
+            corpus.problems[name] = problem(name, dom, cod, members.values())
+            continue
+
+        rows: dict[str, list[str]] = {}
+        for lineno, parts in block(head, name, opened):
+            if len(parts) < 3 or parts[1] != "->":
+                raise CorpusError("expected 'POINT -> POINT...'", lineno)
+            if head == "map" and len(parts) != 3:
+                raise CorpusError("map rows take one value", lineno)
+            if parts[0] not in dom.index:
+                raise CorpusError(
+                    f"{parts[0]!r} is not a point of {dom.name!r}", lineno
+                )
+            targets = list(dict.fromkeys(parts[2:]))
+            for p in targets:
+                if p not in cod.index:
+                    raise CorpusError(
+                        f"{p!r} is not a point of {cod.name!r}", lineno
+                    )
+            if parts[0] in rows:
+                raise CorpusError(f"duplicate row for {parts[0]!r}", lineno)
+            rows[parts[0]] = targets
+        if head == "map":
+            if not marker and len(rows) != dom.n:
+                raise CorpusError(
+                    f"map {name!r} is missing rows; mark it partial", opened
+                )
+            table = {p: vs[0] for p, vs in rows.items()}
+            corpus.maps[name] = make_map(name, dom, cod, table)
         else:
-            raise CorpusError(f"unknown declaration {head!r}", lineno)
+            pairs = [(p, v) for p, vs in rows.items() for v in vs]
+            corpus.relations[name] = relation(name, dom, cod, pairs)
     return corpus
 
 

@@ -45,7 +45,6 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
-    TotalMap,
     _restrict_mask,
     _vec_map,
     build_space,
@@ -248,7 +247,7 @@ def is_surjective(f: PartialMap) -> bool:
 # -- catalog maps ---------------------------------------------------------
 
 
-def mod_chain_map(length: int, modulus: int, name: str | None = None) -> TotalMap:
+def mod_chain_map(length: int, modulus: int, name: str | None = None) -> PartialMap:
     """Chain of the given length labeled cyclically into a discrete space.
 
     For 2 <= modulus <= length this realizes level exactly ``length`` and
@@ -262,7 +261,7 @@ def mod_chain_map(length: int, modulus: int, name: str | None = None) -> TotalMa
     return total_map(name or f"mod{modulus}x{length}", dom, cod, rows)
 
 
-def injective_indiscrete_map(k: int, name: str | None = None) -> TotalMap:
+def injective_indiscrete_map(k: int, name: str | None = None) -> PartialMap:
     """An injective labeling of an indiscrete space; level is unbounded
     for k >= 2, basesize is k."""
     dom = indiscrete(k)
@@ -296,7 +295,7 @@ def random_space(n: int, edge_density: float = 0.3, seed: int = 0) -> Space:
     return build_space(f"R{n}e{density}s{seed}", pts, below)
 
 
-def random_map(dom: Space, cod: Space, seed: int = 0, name: str | None = None) -> TotalMap:
+def random_map(dom: Space, cod: Space, seed: int = 0, name: str | None = None) -> PartialMap:
     if cod.n == 0 and dom.n > 0:
         raise ValueError("no total map into the empty space")
     rng = _rng("map", dom.name, cod.name, seed)
@@ -322,7 +321,7 @@ def random_partial_map(
 
 def random_continuous_map(
     dom: Space, cod: Space, seed: int = 0, name: str | None = None
-) -> TotalMap:
+) -> PartialMap:
     pool = enumerate_continuous_total(dom, cod)
     if not pool:
         raise ValueError(f"no continuous total maps {dom.name} -> {cod.name}")
@@ -361,7 +360,7 @@ def search_lev_bas_witness(
     max_points: int = 8,
     seed: int = 0,
     attempts: int = 300,
-) -> TotalMap:
+) -> PartialMap:
     """Find a total map with the requested first-variant level and
     basesize.  Random candidates first, then a deterministic cyclically
     labeled chain; every hit is re-verified through the full invariant
@@ -370,7 +369,7 @@ def search_lev_bas_witness(
     if LevelValue(target_bas) > lev_t:
         raise ValueError("basesize target cannot exceed the level target")
 
-    def verified(m: TotalMap) -> TotalMap:
+    def verified(m: PartialMap) -> PartialMap:
         report = invariant_report(m)
         if report.lev1 != lev_t or report.bas != target_bas:
             raise InvalidWitnessError(
@@ -378,7 +377,7 @@ def search_lev_bas_witness(
             )
         return m
 
-    candidates: list[TotalMap] = []
+    candidates: list[PartialMap] = []
     if lev_t == LevelValue(0) and target_bas == 0:
         candidates.append(total_map("void", chain(0), discrete(1), {}))
     rng = _rng("search", lev_t, target_bas, seed)

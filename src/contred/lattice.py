@@ -89,6 +89,10 @@ def tagged(items: Sequence, tags: Sequence[str] | None = None) -> TaggedFamily:
 
 def _family(family, tags=None) -> TaggedFamily:
     if isinstance(family, TaggedFamily):
+        if tags is not None and tuple(tags) != family.tags:
+            raise ValueError(
+                f"tags {list(tags)} disagree with the family's {list(family.tags)}"
+            )
         return family
     return tagged(tuple(family), tags)
 

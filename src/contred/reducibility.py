@@ -36,7 +36,6 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
-    TotalMap,
     _vec_map,
     compose,
     delta,
@@ -210,7 +209,7 @@ def _continuous_vectors(
 
 
 @lru_cache(maxsize=None)
-def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[TotalMap, ...]:
+def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[PartialMap, ...]:
     """All continuous total maps dom -> cod, in lexicographic value order."""
     vecs = _continuous_vectors(dom, cod, list(range(cod.n)))
     return tuple(

@@ -291,8 +291,8 @@ class PartialMap:
         return h
 
     def __repr__(self) -> str:
-        kind = "TotalMap" if self.is_total else "PartialMap"
-        return f"{kind}({self.name!r}: {self.dom.name} -> {self.cod.name})"
+        marker = "" if self.is_total else " partial"
+        return f"PartialMap({self.name!r}: {self.dom.name} -> {self.cod.name}{marker})"
 
     @cached_property
     def table(self) -> tuple[tuple[str, str], ...]:
@@ -329,20 +329,6 @@ class PartialMap:
         return self.cod.points[v]
 
 
-class TotalMap(PartialMap):
-    """A partial map that happens to be defined everywhere."""
-
-    def __init__(
-        self, name: str, dom: Space, cod: Space, table: Iterable[tuple[str, str]]
-    ) -> None:
-        super().__init__(name, dom, cod, table)
-        if not self.is_total:
-            missing = sorted(dom.points[i] for i, v in enumerate(self.vec) if v < 0)
-            raise ValueError(
-                f"map {self.name!r} is not total (missing {', '.join(missing)})"
-            )
-
-
 def _rows_vec(
     name: str, dom: Space, cod: Space, table: Iterable[tuple[str, str]]
 ) -> tuple[int, ...]:
@@ -358,11 +344,10 @@ def _rows_vec(
 
 
 def _vec_map(name: str, dom: Space, cod: Space, vec: Iterable[int]) -> PartialMap:
-    """The map with value vector ``vec`` (-1: undefined), a TotalMap when it
-    is defined everywhere.  Every derived map is built here, on indices."""
-    vec = tuple(vec)
-    m = object.__new__(PartialMap if -1 in vec else TotalMap)
-    m.__dict__.update(name=name, dom=dom, cod=cod, vec=vec)
+    """The map with value vector ``vec`` (-1: undefined).  Every derived map
+    is built here, on indices."""
+    m = object.__new__(PartialMap)
+    m.__dict__.update(name=name, dom=dom, cod=cod, vec=tuple(vec))
     return m
 
 
@@ -380,8 +365,15 @@ def total_map(
     dom: Space,
     cod: Space,
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
-) -> TotalMap:
-    return TotalMap(name, dom, cod, dict(mapping).items())
+) -> PartialMap:
+    """Build a map that must be defined at every point of ``dom``."""
+    m = PartialMap(name, dom, cod, dict(mapping).items())
+    if not m.is_total:
+        missing = sorted(dom.points[i] for i, v in enumerate(m.vec) if v < 0)
+        raise ValueError(
+            f"map {name!r} is not total (missing {', '.join(missing)})"
+        )
+    return m
 
 
 def make_map(
@@ -390,15 +382,16 @@ def make_map(
     cod: Space,
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> PartialMap:
-    """Build a TotalMap when the table covers the domain, else a PartialMap."""
+    """Build the map with the given rows; ``is_total`` says whether they
+    cover the domain."""
     return _vec_map(name, dom, cod, _rows_vec(name, dom, cod, dict(mapping).items()))
 
 
-def identity_map(space: Space, name: str | None = None) -> TotalMap:
+def identity_map(space: Space, name: str | None = None) -> PartialMap:
     return _vec_map(name or f"id_{space.name}", space, space, range(space.n))
 
 
-def constant_map(dom: Space, cod: Space, value: str, name: str | None = None) -> TotalMap:
+def constant_map(dom: Space, cod: Space, value: str, name: str | None = None) -> PartialMap:
     j = cod.point_index(value)
     return _vec_map(name or f"const_{value}", dom, cod, [j] * dom.n)
 
@@ -460,7 +453,7 @@ def _tuple_names(parts: Sequence[Sequence[str]], spell) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class ProductResult:
     space: Space
-    projections: tuple[TotalMap, ...]
+    projections: tuple[PartialMap, ...]
 
     @cached_property
     def origin(self) -> dict[str, tuple[str, ...]]:
@@ -474,7 +467,7 @@ class ProductResult:
 @dataclass(frozen=True)
 class CoproductResult:
     space: Space
-    injections: tuple[TotalMap, ...]
+    injections: tuple[PartialMap, ...]
     tags: tuple[str, ...]
 
     @cached_property
@@ -605,7 +598,7 @@ def compose(g: PartialMap, f: PartialMap, name: str | None = None) -> PartialMap
     return _vec_map(name or f"({g.name}.{f.name})", f.dom, g.cod, vec)
 
 
-def delta(space: Space, name: str | None = None) -> TotalMap:
+def delta(space: Space, name: str | None = None) -> PartialMap:
     """The diagonal x -> (x,x) into the binary self-product."""
     n = space.n
     prod = product_space(space, space)

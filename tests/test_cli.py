@@ -305,6 +305,16 @@ def test_budget_env_var_must_be_numeric(clt, capsys, monkeypatch):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_negative_budgets_are_usage_errors(clt, capsys, monkeypatch):
+    assert main(["check", "le2", "flip", "flip", clt, "--budget", "-1"]) == 2
+    assert "--budget" in capsys.readouterr().err
+    monkeypatch.setenv("CONTRED_BUDGET", "-1")
+    assert main(["poset", "le2", "flip", "ident", clt]) == 2
+    assert "CONTRED_BUDGET" in capsys.readouterr().err
+    assert main(["check", "le2", "flip", "flip", clt, "--budget", "0"]) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+
+
 # -- corpus loading --------------------------------------------------------
 
 
@@ -343,6 +353,62 @@ def test_parse_errors_surface_with_lines(tmp_path, capsys):
     bad.write_text("space S\n  points s0\n  below s0 zz\nend\n")
     assert main(["invariants", "S", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+# -- items of the wrong kind -----------------------------------------------
+
+
+WITH_RELATION = DEMO + """
+relation R : S -> S
+  s0 -> s0 s1
+end
+"""
+
+# (positionals with {} for the wrong-kind name, flags after the corpus)
+WRONG_KIND_COMMANDS = [
+    (["check", "le0", "{}", "flip"], []),
+    (["check", "le2", "flip", "{}"], []),
+    (["check", "lect", "{}", "flip"], []),
+    (["poset", "le2", "flip", "{}"], []),
+    (["sup", "le0", "{}", "flip"], []),
+    (["sup", "le2", "flip", "{}"], []),
+    (["inf", "{}", "flip"], []),
+    (["invariants", "{}"], []),
+    (["decompose", "{}"], ["--thresholds", "1"]),
+    (["admissible", "{}"], []),
+]
+
+
+@pytest.mark.parametrize("name, kind", [("S", "space"), ("R", "relation")])
+@pytest.mark.parametrize(
+    "positionals, flags", WRONG_KIND_COMMANDS, ids=lambda v: " ".join(v) or "-"
+)
+def test_spaces_and_relations_are_usage_errors(
+    tmp_path, capsys, positionals, flags, name, kind
+):
+    path = tmp_path / "demo.clt"
+    path.write_text(WITH_RELATION, encoding="utf-8")
+    argv = [name if a == "{}" else a for a in positionals] + [str(path)] + flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name!r} is a {kind}; {positionals[0]} ")
+    assert "Traceback" not in captured.err
+
+
+def test_map_only_commands_reject_problems(clt, capsys):
+    for argv in (["inf", "duo", "flip", clt], ["admissible", "duo", clt]):
+        assert main(argv) == 2
+        assert "'duo' is a problem" in capsys.readouterr().err
+
+
+def test_python_dash_m_relation_name_exits_two_not_one(tmp_path):
+    path = tmp_path / "demo.clt"
+    path.write_text(WITH_RELATION, encoding="utf-8")
+    done = run_python("-m", "contred", "check", "le2", "R", "flip", str(path))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "'R' is a relation" in done.stderr and "Traceback" not in done.stderr
 
 
 # -- argument plumbing -----------------------------------------------------

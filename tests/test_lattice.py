@@ -82,6 +82,14 @@ def test_tagged_families_default_and_reject_duplicate_tags():
         tagged([flip], tags=("a", "b"))
 
 
+def test_tags_given_with_a_tagged_family_must_agree():
+    fam = tagged([flip, step], tags=("a", "b"))
+    assert sup2(fam, tags=["a", "b"]) == sup2(fam)
+    for build in (sup2, sup0, inf0):
+        with pytest.raises(ValueError, match="disagree"):
+            build(fam, tags=["x", "y"])
+
+
 # -- joins for the one-query order ----------------------------------------
 
 

@@ -13,7 +13,6 @@ from contred import (
     PartialMap,
     SpaceMismatchError,
     Space,
-    TotalMap,
     build_space,
     chain,
     choice_functions,
@@ -293,8 +292,8 @@ def test_subspace_of_product_equals_product_of_subspaces(a, b, data):
 
 
 def test_map_constructors_validate_rows():
-    with pytest.raises(ValueError):
-        total_map("f", S2, D2, {"s0": "0"})  # missing s1
+    with pytest.raises(ValueError, match=r"not total \(missing s1\)"):
+        total_map("f", S2, D2, {"s0": "0"})
     with pytest.raises(ValueError):
         make_map("f", S2, D2, {"s0": "7"})  # value outside codomain
     with pytest.raises(ValueError):
@@ -303,9 +302,9 @@ def test_map_constructors_validate_rows():
         make_map("f", S2, D2, {"zz": "0"})
 
 
-def test_make_map_returns_total_subclass_when_covering():
-    assert isinstance(make_map("f", S2, D2, {"s0": "0", "s1": "1"}), TotalMap)
-    assert not isinstance(make_map("f", S2, D2, {"s0": "0"}), TotalMap)
+def test_make_map_classifies_totality():
+    assert make_map("f", S2, D2, {"s0": "0", "s1": "1"}).is_total
+    assert not make_map("f", S2, D2, {"s0": "0"}).is_total
 
 
 def test_compose_defined_where_both_stages_are():
