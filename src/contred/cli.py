@@ -209,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, handler, count=None, takes=("map", "problem"), budget=True):
         # count: how many item names the command takes (None: any number);
-        # takes: the kinds of item it works on (None: it reads no items)
-        p.add_argument("rest", nargs="*", metavar="ITEM|FILE.clt")
+        # takes: the kinds of item it works on (None: it reads no items and
+        # has no positionals, so any given are a usage error)
+        if takes:
+            p.add_argument("rest", nargs="*", metavar="ITEM|FILE.clt")
         if budget:
             p.add_argument("--budget", type=int, default=None)
         p.set_defaults(handler=handler, count=count, takes=takes)

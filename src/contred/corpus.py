@@ -204,13 +204,8 @@ def _space_block(s: Space) -> str:
     pts = sorted(_token_safe(p, "point") for p in s.points)
     if pts:
         lines.append("  points " + " ".join(pts))
-    pairs = sorted(
-        (s.points[i], s.points[j])
-        for i in range(s.n)
-        for j in range(s.n)
-        if i != j and (s.up[i] >> j) & 1
-    )
-    for a, b in pairs:
+    lo, hi = s.pairs
+    for a, b in sorted((s.points[i], s.points[j]) for i, j in zip(lo, hi)):
         lines.append(f"  below {a} {b}")
     lines.append("end")
     return "\n".join(lines)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import ContredError
-from .spaces import PartialMap, Problem, _bits
+from .spaces import PartialMap, Problem, _bits, _breaks
 
 
 @total_ordering
@@ -79,16 +79,9 @@ UNBOUNDED = LevelValue(None)
 
 def _discontinuity_mask(f: PartialMap, live: int) -> int:
     """Points of ``live`` at which f restricted to ``live`` is discontinuous."""
-    vec = f.vec
-    up = f.dom.up
-    upc = f.cod.up
     out = 0
-    for i in _bits(live):
-        vi = vec[i]
-        for j in _bits(up[i] & live):
-            if not (upc[vi] >> vec[j]) & 1:
-                out |= 1 << i
-                break
+    for i, _ in _breaks(f, live):
+        out |= 1 << i
     return out
 
 
@@ -172,21 +165,7 @@ def conflict_graph(f: PartialMap) -> tuple[tuple[str, str], ...]:
 
 def _conflict_pairs(f: PartialMap) -> list[tuple[int, int]]:
     """The conflict graph's edges as point index pairs, lower index first."""
-    vec = f.vec
-    up = f.dom.up
-    upc = f.cod.up
-    dm = f.def_mask
-    edges = []
-    for i in _bits(dm):
-        for j in _bits(dm >> (i + 1) << (i + 1)):
-            bad = False
-            if (up[i] >> j) & 1 and not (upc[vec[i]] >> vec[j]) & 1:
-                bad = True
-            elif (up[j] >> i) & 1 and not (upc[vec[j]] >> vec[i]) & 1:
-                bad = True
-            if bad:
-                edges.append((i, j))
-    return edges
+    return sorted({(min(e), max(e)) for e in _breaks(f, f.def_mask)})
 
 
 def _exact_coloring(adj: list[int]) -> tuple[int, list[int]]:

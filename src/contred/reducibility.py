@@ -119,50 +119,50 @@ class CompareResult:
 
 
 def _search(
-    up, order, options, fits, budget: Budget, leaf=None
+    n, pairs, order, options, fits, budget: Budget, leaf=None
 ) -> list[int] | None:
-    """Assign values to the points of ``order`` by backtracking.
+    """Assign values to points 0..n-1 by backtracking over ``order``.
 
-    ``up[i]`` is the bitmask of points above point i.  Step k gives point
-    ``order[k]`` a value from ``options[k]``, tried in list order, each
-    spending one budget node; -1 leaves the point undefined and fits
-    everything.  A defined value must pass ``fits(lo, a, hi, b)`` against
-    every earlier comparable defined point, where point lo <= point hi
-    carry values a and b.  All constraints of the searches here are
-    pairwise between comparable points, so pruning against exactly these
-    loses no solution.
+    Step k gives point ``order[k]`` a value from ``options[k]``, tried in
+    list order, each spending one budget node; -1 leaves the point
+    undefined.  ``pairs`` is the constraint, two parallel index sequences
+    (lo, hi) of distinct points as in :attr:`Space.pairs`: whenever points
+    lo[k] and hi[k] both carry defined values a and b, ``fits(lo[k], a,
+    hi[k], b)`` must hold.  Each pair is checked at the step that assigns its later point;
+    pairs with a point off ``order`` constrain nothing.
 
     A complete assignment is accepted when ``leaf`` is None or returns
     True for it; the point-indexed assignment (-1 off ``order``) is then
     returned, else None.  A leaf that records its argument and returns
     False enumerates every solution.
     """
-    prev = []
+    step = [-1] * n
     for k, i in enumerate(order):
-        checks = []
-        for i2 in order[:k]:
-            below, above = (up[i2] >> i) & 1, (up[i] >> i2) & 1
-            if below or above:
-                checks.append((i2, below, above))
-        prev.append(checks)
-    assign = [-1] * len(up)
+        step[i] = k
+    # prev[k]: (earlier point, whether it is the pair's low side)
+    prev: list[list[tuple[int, bool]]] = [[] for _ in order]
+    for lo, hi in zip(*pairs):
+        k_lo, k_hi = step[lo], step[hi]
+        if k_lo >= 0 and k_hi >= 0:
+            if k_lo < k_hi:
+                prev[k_hi].append((lo, True))
+            else:
+                prev[k_lo].append((hi, False))
+    assign = [-1] * n
     spend = budget.spend
-    n = len(order)
+    last = len(order)
 
     def bt(k: int) -> bool:
-        if k == n:
+        if k == last:
             return leaf is None or leaf(assign)
         i = order[k]
         for a in options[k]:
             spend()
             ok = True
             if a >= 0:
-                for i2, below, above in prev[k]:
+                for i2, low in prev[k]:
                     b = assign[i2]
-                    if b >= 0 and (
-                        (below and not fits(i2, b, i, a))
-                        or (above and not fits(i, a, i2, b))
-                    ):
+                    if b >= 0 and not (fits(i2, b, i, a) if low else fits(i, a, i2, b)):
                         ok = False
                         break
             if ok:
@@ -173,6 +173,15 @@ def _search(
         return False
 
     return assign if bt(0) else None
+
+
+def _replayed(lhs, rhs, w: Witness0 | Witness2) -> Witness0 | Witness2:
+    """``w``, once it replays against the defining equation."""
+    verify = verify_witness2 if isinstance(w, Witness2) else verify_witness0
+    if not verify(lhs, rhs, w):
+        kind = "le2" if isinstance(w, Witness2) else "le0"
+        raise InvalidWitnessError(f"{kind} witness failed to replay")
+    return w
 
 
 def _translation(lhs, rhs, gvec: list[int]) -> PartialMap:
@@ -204,7 +213,8 @@ def _continuous_vectors(
 
     unbounded = Budget(float("inf"))
     order = range(dom.n)
-    _search(dom.up, order, [options] * dom.n, _monotone(cod), unbounded, collect)
+    fits = _monotone(cod)
+    _search(dom.n, dom.pairs, order, [options] * dom.n, fits, unbounded, collect)
     return out
 
 
@@ -256,13 +266,10 @@ def le0_map(
     options = [[j for j in range(q.dom.n) if qv[j] == pv[i]] for i in order]
     if not all(options):
         return None
-    gvec = _search(p.dom.up, order, options, _monotone(q.dom), b)
+    gvec = _search(p.dom.n, p.dom.pairs, order, options, _monotone(q.dom), b)
     if gvec is None:
         return None
-    w = Witness0(_translation(p, q, gvec))
-    if not verify_witness0(p, q, w):
-        raise InvalidWitnessError("le0 witness failed to replay")  # pragma: no cover
-    return w
+    return _replayed(p, q, Witness0(_translation(p, q, gvec)))
 
 
 def le0_fn(
@@ -285,10 +292,7 @@ def le0_problem(
     b = _as_budget(budget)
     X1, X2 = P.dom, Q.dom
     if not Q.members:
-        w = Witness0(empty_map(X1, X2, f"G[{P.name},{Q.name}]"))
-        if not verify_witness0(P, Q, w):
-            raise InvalidWitnessError("le0 witness failed to replay")
-        return w
+        return _replayed(P, Q, Witness0(empty_map(X1, X2, f"G[{P.name},{Q.name}]")))
     qvecs = [m.vec for m in Q.members]
     member_vecs = P.member_vecs
 
@@ -298,13 +302,10 @@ def le0_problem(
         )
 
     options = [[-1, *range(X2.n)]] * X1.n
-    gvec = _search(X1.up, range(X1.n), options, _monotone(X2), b, leaf)
+    gvec = _search(X1.n, X1.pairs, range(X1.n), options, _monotone(X2), b, leaf)
     if gvec is None:
         return None
-    w = Witness0(_translation(P, Q, gvec))
-    if not verify_witness0(P, Q, w):
-        raise InvalidWitnessError("le0 witness failed to replay")  # pragma: no cover
-    return w
+    return _replayed(P, Q, Witness0(_translation(P, Q, gvec)))
 
 
 # -- le2: fast engine -----------------------------------------------------
@@ -331,7 +332,7 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] 
             return False
         return not (upQ[qv[a]] >> qv[b]) & 1 or (upP[pv[lo]] >> pv[hi]) & 1
 
-    return _search(p.dom.up, order, [cands] * len(order), fits, budget)
+    return _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), fits, budget)
 
 
 def _witness2_from_gvec(
@@ -357,10 +358,7 @@ def le2_map(
     gvec = _le2_fast_search(p, q, b)
     if gvec is None:
         return None
-    w = _witness2_from_gvec(p, q, gvec)
-    if not verify_witness2(p, q, w):
-        raise InvalidWitnessError("le2 witness failed to replay")  # pragma: no cover
-    return w
+    return _replayed(p, q, _witness2_from_gvec(p, q, gvec))
 
 
 # -- le2: oracle engine ---------------------------------------------------
@@ -449,10 +447,7 @@ def le2_fn(
         gvec = _le2_oracle_search(f, g, b)
     if gvec is None:
         return None
-    w = _witness2_from_gvec(f, g, gvec)
-    if not verify_witness2(f, g, w):
-        raise InvalidWitnessError("le2 witness failed to replay")  # pragma: no cover
-    return w
+    return _replayed(f, g, _witness2_from_gvec(f, g, gvec))
 
 
 # -- le2 for problems -----------------------------------------------------
@@ -476,40 +471,30 @@ def le2_problem(
             empty_map(X1, X2, f"G[{P.name},{Q.name}]"),
             empty_map(prod, Y1, f"F[{P.name},{Q.name}]"),
         )
-        if not verify_witness2(P, Q, w):
-            raise InvalidWitnessError("le2 witness failed to replay")
-        return w
-    up1, upY2 = X1.up, Y2.up
+        return _replayed(P, Q, w)
     qvecs = [m.vec for m in Q.members]
     member_vecs = P.member_vecs
     f_options = [-1, *range(Y1.n)]
     f_fits = _monotone(Y1)
+    k = Y2.n
     fvec_full = [-1] * prod.n
 
     def g_leaf(g: list[int]) -> bool:
-        # the postprocessor's points: (x, answer) pairs in the product order
+        # the postprocessor's points: the (x, answer) pairs some member
+        # reaches, searched under the product order's pairs among them
         reach = sorted(
             {
-                (i, qv[j])
+                i * k + qv[j]
                 for qv in qvecs
                 for i, j in enumerate(g)
                 if j >= 0 and qv[j] >= 0
             }
         )
-        at = {pair: k for k, pair in enumerate(reach)}
-        up = [
-            sum(
-                1 << k
-                for k, (i2, y2) in enumerate(reach)
-                if (up1[i] >> i2) & 1 and (upY2[y] >> y2) & 1
-            )
-            for i, y in reach
-        ]
 
         def f_leaf(f: list[int]) -> bool:
             return all(
                 tuple(
-                    f[at[i, qv[j]]] if j >= 0 and qv[j] >= 0 else -1
+                    f[i * k + qv[j]] if j >= 0 and qv[j] >= 0 else -1
                     for i, j in enumerate(g)
                 )
                 in member_vecs
@@ -517,22 +502,18 @@ def le2_problem(
             )
 
         options = [f_options] * len(reach)
-        fvec = _search(up, range(len(reach)), options, f_fits, b, f_leaf)
+        fvec = _search(prod.n, prod.pairs, reach, options, f_fits, b, f_leaf)
         if fvec is None:
             return False
-        for (i, y), v in zip(reach, fvec):
-            fvec_full[i * Y2.n + y] = v
+        fvec_full[:] = fvec
         return True
 
     options = [[-1, *range(X2.n)]] * X1.n
-    gvec = _search(up1, range(X1.n), options, _monotone(X2), b, g_leaf)
+    gvec = _search(X1.n, X1.pairs, range(X1.n), options, _monotone(X2), b, g_leaf)
     if gvec is None:
         return None
     fmap = _vec_map(f"F[{P.name},{Q.name}]", prod, Y1, fvec_full)
-    w = Witness2(_translation(P, Q, gvec), fmap)
-    if not verify_witness2(P, Q, w):
-        raise InvalidWitnessError("le2 witness failed to replay")  # pragma: no cover
-    return w
+    return _replayed(P, Q, Witness2(_translation(P, Q, gvec), fmap))
 
 
 # -- bounded parallel copies ---------------------------------------------

@@ -18,7 +18,7 @@ build a new space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -36,8 +36,45 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _once:
+    """A value computed on first read and stored in the instance's
+    ``__dict__``, where later reads find it without calling back here.
+    Unlike ``functools.cached_property`` on Python 3.11 it takes no lock."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+class _Value:
+    """Equality and hash by ``_key()``: identical objects are equal at once
+    (cached constructions hand back shared objects), other objects only to
+    one of the same type, and the hash is computed once."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._key())
+        return h
+
+
 @dataclass(frozen=True, eq=False)
-class Space:
+class Space(_Value):
     """A finite topological space as a preorder on named points.
 
     ``up[i]`` is the bitmask of point indices j with point i below point j
@@ -70,37 +107,21 @@ class Space:
             if acc != m:
                 raise ValueError(f"below must be transitive in {self.name!r}")
 
-    # identity-first equality: cached constructions hand back shared objects
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Space):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.points == other.points
-            and self.up == other.up
-        )
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.name, self.points, self.up))
-            self.__dict__["_hash"] = h
-        return h
+    def _key(self) -> tuple:
+        return (self.name, self.points, self.up)
 
     def __repr__(self) -> str:
         return f"Space({self.name!r}, {len(self.points)} points)"
 
-    @cached_property
+    @_once
     def n(self) -> int:
         return len(self.points)
 
-    @cached_property
+    @_once
     def index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
 
-    @cached_property
+    @_once
     def down(self) -> tuple[int, ...]:
         """Transpose of ``up``: down[j] = bitmask of i with i below j."""
         down = [0] * self.n
@@ -109,11 +130,25 @@ class Space:
                 down[j] |= 1 << i
         return tuple(down)
 
-    @cached_property
+    @_once
+    def pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The comparable pairs as two parallel index tuples ``(lo, hi)``:
+        point lo[k] is below point hi[k], and lo[k] != hi[k].  Every
+        monotonicity test, the constraint of every search and the
+        serializer read these pairs."""
+        lo: list[int] = []
+        hi: list[int] = []
+        for i, m in enumerate(self.up):
+            for j in _bits(m & ~(1 << i)):
+                lo.append(i)
+                hi.append(j)
+        return tuple(lo), tuple(hi)
+
+    @_once
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @_once
     def opens(self) -> tuple[int, ...]:
         """All open sets as bitmasks, ascending.  Exponential: small spaces only."""
         if self.n > _OPENS_LIMIT:
@@ -126,7 +161,7 @@ class Space:
                 out.append(s)
         return tuple(out)
 
-    @cached_property
+    @_once
     def opens_set(self) -> frozenset[int]:
         return frozenset(self.opens)
 
@@ -168,11 +203,8 @@ class Space:
         return self._is_open_mask(self.mask_of(subset))
 
     def is_closed(self, subset: Iterable[str]) -> bool:
-        m = self.mask_of(subset)
-        for i in _bits(m):
-            if self.down[i] & ~m:
-                return False
-        return True
+        """Closed sets are the complements of open sets."""
+        return self._is_open_mask(self.full_mask & ~self.mask_of(subset))
 
 
 def build_space(
@@ -248,7 +280,7 @@ def chain(n: int, name: str | None = None) -> Space:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class PartialMap:
+class PartialMap(_Value):
     """A partial map between finite spaces.
 
     ``vec`` is the map's data: the value index per domain point index, -1
@@ -271,39 +303,23 @@ class PartialMap:
         vec = _rows_vec(name, dom, cod, table)
         self.__dict__.update(name=name, dom=dom, cod=cod, vec=vec)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PartialMap):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.vec == other.vec
-        )
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.name, self.dom, self.cod, self.vec))
-            self.__dict__["_hash"] = h
-        return h
+    def _key(self) -> tuple:
+        return (self.name, self.dom, self.cod, self.vec)
 
     def __repr__(self) -> str:
         marker = "" if self.is_total else " partial"
         return f"PartialMap({self.name!r}: {self.dom.name} -> {self.cod.name}{marker})"
 
-    @cached_property
+    @_once
     def table(self) -> tuple[tuple[str, str], ...]:
         pts, vals = self.dom.points, self.cod.points
         return tuple((pts[i], vals[v]) for i, v in enumerate(self.vec) if v >= 0)
 
-    @cached_property
+    @_once
     def mapping(self) -> dict[str, str]:
         return dict(self.table)
 
-    @cached_property
+    @_once
     def def_mask(self) -> int:
         m = 0
         for i, v in enumerate(self.vec):
@@ -311,11 +327,11 @@ class PartialMap:
                 m |= 1 << i
         return m
 
-    @cached_property
+    @_once
     def defined_on(self) -> frozenset[str]:
         return frozenset(x for x, _ in self.table)
 
-    @cached_property
+    @_once
     def is_total(self) -> bool:
         return -1 not in self.vec
 
@@ -404,6 +420,25 @@ def empty_map(dom: Space, cod: Space, name: str | None = None) -> PartialMap:
 # -- continuity -----------------------------------------------------------
 
 
+def _breaks(f: PartialMap, live: int) -> list[tuple[int, int]]:
+    """The comparable pairs (i, j), point i below point j, of the point set
+    ``live`` where f is defined at both and f(j) is not above f(i).
+
+    Continuity on finite spaces is monotonicity, so f restricted to
+    ``live`` is continuous exactly when this is empty, and continuous at i
+    exactly when no pair starts at i.  It is the one place that compares
+    values along the order.
+    """
+    vec, upc = f.vec, f.cod.up
+    live &= f.def_mask
+    lo, hi = f.dom.pairs
+    return [
+        (i, j)
+        for i, j in zip(lo, hi)
+        if (live >> i) & 1 and (live >> j) & 1 and not (upc[vec[i]] >> vec[j]) & 1
+    ]
+
+
 def is_continuous_at(f: PartialMap, x: str) -> bool:
     """Continuity at a point of definition: values may only go up.
 
@@ -411,28 +446,14 @@ def is_continuous_at(f: PartialMap, x: str) -> bool:
     f(y) lies above f(x) for every defined y above x.
     """
     i = f.dom.point_index(x)
-    vi = f.vec[i]
-    if vi < 0:
+    if f.vec[i] < 0:
         raise ValueError(f"map {f.name!r} undefined at {x!r}")
-    up_cod = f.cod.up
-    vec = f.vec
-    for j in _bits(f.dom.up[i] & f.def_mask):
-        if not (up_cod[vi] >> vec[j]) & 1:
-            return False
-    return True
+    return all(lo != i for lo, _ in _breaks(f, f.def_mask))
 
 
 def is_continuous(f: PartialMap) -> bool:
     """Monotone on the domain of definition == continuous on the subspace."""
-    vec = f.vec
-    up_cod = f.cod.up
-    dm = f.def_mask
-    for i in _bits(dm):
-        vi = vec[i]
-        for j in _bits(f.dom.up[i] & dm):
-            if not (up_cod[vi] >> vec[j]) & 1:
-                return False
-    return True
+    return not _breaks(f, f.def_mask)
 
 
 # -- products and coproducts ---------------------------------------------
@@ -455,7 +476,7 @@ class ProductResult:
     space: Space
     projections: tuple[PartialMap, ...]
 
-    @cached_property
+    @_once
     def origin(self) -> dict[str, tuple[str, ...]]:
         """Point name -> the names of its coordinates."""
         return {
@@ -470,7 +491,7 @@ class CoproductResult:
     injections: tuple[PartialMap, ...]
     tags: tuple[str, ...]
 
-    @cached_property
+    @_once
     def origin(self) -> dict[str, tuple[str, str]]:
         """Point name -> (tag, point of the summand)."""
         pts = self.space.points
@@ -655,7 +676,7 @@ def map_equal(f: PartialMap, g: PartialMap) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class Problem:
+class Problem(_Value):
     """A finite set of partial maps sharing domain and codomain spaces.
 
     The spaces are carried explicitly so that the empty problem at a given
@@ -675,25 +696,13 @@ class Problem:
                     f"member {m.name!r} of problem {self.name!r} has mismatched spaces"
                 )
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Problem):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.dom, self.cod, self.members))
+    def _key(self) -> tuple:
+        return (self.name, self.dom, self.cod, self.members)
 
     def __repr__(self) -> str:
         return f"Problem({self.name!r}, {len(self.members)} members)"
 
-    @cached_property
+    @_once
     def member_vecs(self) -> frozenset[tuple[int, ...]]:
         return frozenset(m.vec for m in self.members)
 
@@ -724,7 +733,7 @@ def singleton_problem(f: PartialMap, name: str | None = None) -> Problem:
 
 
 @dataclass(frozen=True, eq=False)
-class Relation:
+class Relation(_Value):
     """A finite relation between the points of two spaces."""
 
     name: str
@@ -737,25 +746,13 @@ class Relation:
             self.dom.point_index(x)
             self.cod.point_index(y)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Relation):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.dom, self.cod, self.pairs))
+    def _key(self) -> tuple:
+        return (self.name, self.dom, self.cod, self.pairs)
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, {len(self.pairs)} pairs)"
 
-    @cached_property
+    @_once
     def targets(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {}
         for x, y in self.pairs:

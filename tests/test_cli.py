@@ -278,6 +278,19 @@ def test_search_exhaustion_is_exit_three(capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_search_rejects_positionals(capsys):
+    # search reads no corpus, so names and files are usage errors, even
+    # when they exist nowhere
+    args = [
+        "search", "ghost", "nope.clt", "--lev", "2", "--bas", "2",
+        "--max-points", "3", "--seed", "7",
+    ]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: ghost nope.clt" in out.err
+
+
 # -- budgets ---------------------------------------------------------------
 
 

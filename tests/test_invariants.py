@@ -22,6 +22,7 @@ from contred import (
     indiscrete,
     invariant_report,
     is_continuous,
+    is_continuous_at,
     le2_map,
     lev_point,
     level,
@@ -40,6 +41,8 @@ from contred import (
 
 from conftest import (
     brute_force_basesize,
+    oracle_is_continuous,
+    oracle_open_sets,
     partial_maps_st,
     problems_st,
     seeds,
@@ -205,6 +208,36 @@ def test_partition_certificate_is_valid():
         assert frozenset().union(*parts) == f.defined_on
         for part in parts:
             assert is_continuous(restrict(f, part))
+
+
+def _oracle_continuous_at(f, x) -> bool:
+    """Every open set around f(x) pulls back to a neighbourhood of x in the
+    subspace of defined points: some open set around x maps into it."""
+    defined = f.defined_on
+    for v in oracle_open_sets(f.cod):
+        if f(x) in v and not any(
+            x in u and all(f(y) in v for y in u & defined)
+            for u in oracle_open_sets(f.dom)
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_maps_st(max_points=4))
+def test_conflict_graph_and_pointwise_continuity_match_oracles(f):
+    defined = sorted(f.defined_on, key=f.dom.point_index)
+    edges = {
+        (x, y)
+        for x, y in itertools.combinations(defined, 2)
+        if (f.dom.below(x, y) or f.dom.below(y, x))
+        and not oracle_is_continuous(restrict(f, (x, y)))
+    }
+    graph = conflict_graph(f)
+    assert len(graph) == len(set(graph))
+    assert set(graph) == edges
+    for x in defined:
+        assert is_continuous_at(f, x) == _oracle_continuous_at(f, x), x
 
 
 @settings(max_examples=60, deadline=None)

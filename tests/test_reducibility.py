@@ -49,6 +49,8 @@ from contred import (
     witness0_to_witness2,
 )
 
+from contred.reducibility import _search
+
 from conftest import partial_maps_st, problems_st, seeds, spaces_st, total_maps_st
 
 S2 = sierpinski()
@@ -209,6 +211,77 @@ def test_choice_function_problems_feed_the_problem_deciders():
     single = choice_functions(relation("F", D2, D2, [("0", "1"), ("1", "1")]))
     w = le2_problem(p, single)
     assert w is not None and verify_witness2(p, single, w)
+
+
+# -- the search kernel's constraint pairs ---------------------------------
+
+
+def _kernel_solutions(n, pairs, order, options, fits):
+    """Every assignment the kernel accepts, in the order it finds them."""
+    found = []
+
+    def collect(vec):
+        found.append(tuple(vec))
+        return False
+
+    lo, hi = tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
+    _search(n, (lo, hi), order, options, fits, Budget(), collect)
+    return found
+
+
+def _filtered_solutions(n, pairs, order, options, fits):
+    """The same by brute force: every combination of options, in step
+    order, kept when each given pair of defined points fits."""
+    out = []
+    for values in itertools.product(*options):
+        vec = [-1] * n
+        for i, v in zip(order, values):
+            vec[i] = v
+        if all(
+            vec[i] < 0 or vec[j] < 0 or fits(i, vec[i], j, vec[j]) for i, j in pairs
+        ):
+            out.append(tuple(vec))
+    return out
+
+
+def test_search_prunes_on_incomparable_pairs_it_is_given():
+    D3 = discrete(3)
+    assert D3.pairs == ((), ())
+    differ = lambda lo, a, hi, b: a != b  # noqa: E731
+    options = [[0, 1]] * 3
+    found = _kernel_solutions(3, [(0, 1)], range(3), options, differ)
+    assert found == _filtered_solutions(3, [(0, 1)], range(3), options, differ)
+    assert len(found) == 4 and all(v[0] != v[1] for v in found)
+
+
+def test_search_ignores_comparable_pairs_left_out():
+    never = lambda lo, a, hi, b: False  # noqa: E731
+    options = [[0, 1]] * 3
+    assert len(_kernel_solutions(3, [], range(3), options, never)) == 8
+    # C3's own pairs prune every solution with two defined points
+    lo, hi = C3.pairs
+    found = _kernel_solutions(3, list(zip(lo, hi)), range(3), options, never)
+    assert found == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_enforces_exactly_the_given_pairs(data):
+    n = data.draw(st.integers(0, 4))
+    every = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = data.draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+    order = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    options = [
+        data.draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3, unique=True))
+        for _ in order
+    ]
+
+    # depends on the values and on which point is the pair's low side
+    def fits(lo, a, hi, b):
+        return a < b or (a == b and lo < hi)
+
+    found = _kernel_solutions(n, pairs, order, options, fits)
+    assert found == _filtered_solutions(n, pairs, order, options, fits)
 
 
 # -- problems against brute force (property-based) -----------------------

@@ -69,6 +69,20 @@ def test_preorder_counts_match_known_sequence():
     assert len(all_spaces_up_to(3)) == 35
 
 
+def test_pairs_are_the_strict_below_relation():
+    # all_spaces_up_to builds one space per preorder, in preorders_on order
+    spaces = iter(all_spaces_up_to(4))
+    for n in range(5):
+        for k, rel in enumerate(preorders_on(n)):
+            s = next(spaces)
+            assert s.name == f"P{n}_{k}"
+            lo, hi = s.pairs
+            assert len(lo) == len(hi)
+            got = list(zip(lo, hi))
+            assert len(got) == len(set(got))
+            assert set(got) == {(i, j) for i, j in rel if i != j}, s.name
+
+
 # -- constructors ----------------------------------------------------------
 
 
