@@ -13,6 +13,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -200,7 +201,10 @@ def _cmd_search(args, items) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call of ``main`` gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="contred",
         description="Reducibility degrees of maps between finite spaces.",

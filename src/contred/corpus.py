@@ -22,10 +22,12 @@ Grammar (one declaration block per item, ``#`` starts a comment)::
 
 ``below a b`` declares a below b; the reflexive-transitive closure is
 taken automatically.  A map without the ``partial`` marker must supply a
-row for every point.  Serialization is canonical — points, rows, pairs,
-and blocks are sorted — so ``serialize`` is a fixpoint under
-``parse``/``serialize`` round trips, and two corpora are equal exactly
-when their canonical texts coincide.
+row for every point.  Serialization is canonical — rows, pairs and
+blocks are sorted, and a space's points keep their declaration order,
+which a ``Space`` compares — so ``serialize`` is a fixpoint under
+``parse``/``serialize`` round trips, and a witness printed for a corpus
+loads beside it.  Two corpora are equal exactly when their texts
+coincide once every space's points are sorted.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ class Corpus:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return serialize(self) == serialize(other)
+        return _text(self, sorted) == _text(other, sorted)
 
     def __hash__(self):
-        return hash(serialize(self))
+        return hash(_text(self, sorted))
 
 
 def _token_safe(text: str, what: str) -> str:
@@ -199,9 +201,9 @@ def parse(text: str) -> Corpus:
 # -- serialization --------------------------------------------------------
 
 
-def _space_block(s: Space) -> str:
+def _space_block(s: Space, points) -> str:
     lines = [f"space {_token_safe(s.name, 'space name')}"]
-    pts = sorted(_token_safe(p, "point") for p in s.points)
+    pts = points(_token_safe(p, "point") for p in s.points)
     if pts:
         lines.append("  points " + " ".join(pts))
     lo, hi = s.pairs
@@ -253,9 +255,15 @@ def _problem_block(p: Problem) -> str:
 
 
 def serialize(corpus: Corpus) -> str:
+    return _text(corpus, list)
+
+
+def _text(corpus: Corpus, points) -> str:
+    """The corpus text, each space's points listed as ``points`` orders
+    them (``list``: declaration order, ``sorted``: by name)."""
     blocks = []
     for name in sorted(corpus.spaces):
-        blocks.append(_space_block(corpus.spaces[name]))
+        blocks.append(_space_block(corpus.spaces[name], points))
     for name in sorted(corpus.maps):
         blocks.append(_map_block(corpus.maps[name]))
     for name in sorted(corpus.relations):

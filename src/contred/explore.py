@@ -45,6 +45,7 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
+    _bits,
     _restrict_mask,
     _vec_map,
     build_space,
@@ -106,23 +107,51 @@ def degree_poset(
         if len(cods) > 1:
             raise SpaceMismatchError("le0 poset needs one common codomain")
     n = len(items)
+    # Class first: each item is decided both ways against the class
+    # representatives found so far and joins the first one it is mutually
+    # reducible with; otherwise it becomes a representative and its
+    # reflexivity is decided.  Under lect nothing joins, so every ordered
+    # pair is decided: bounded-copies reductions need not compose within
+    # cap.
+    joins = relation != "lect"
+    decided: dict[tuple[int, int], bool] = {}
+    rep_of = list(range(n))
+    reps: list[int] = []
+
+    def search(i: int, j: int) -> bool:
+        decided[i, j] = decide(items[i], items[j], relation, budget, cap) is not None
+        return decided[i, j]
+
+    for i in range(n):
+        for r in reps:
+            up, down = search(i, r), search(r, i)
+            if joins and up and down:
+                rep_of[i] = r
+                break
+        else:
+            search(i, i)
+            reps.append(i)
+    # every decided entry stands as decided, the rest are read from the
+    # representatives; a disagreement between the two shows up below as
+    # an intransitive triple through the member and its representative
     matrix = tuple(
         tuple(
-            decide(items[i], items[j], relation, budget, cap) is not None
-            for j in range(n)
+            decided.get((i, j), decided[rep_of[i], rep_of[j]]) for j in range(n)
         )
         for i in range(n)
     )
+    rows = [sum(1 << j for j in range(n) if matrix[i][j]) for i in range(n)]
     for i in range(n):
         if not matrix[i][i]:
             raise ContredError(f"{relation} is not reflexive at {names[i]!r}")
-        for j in range(n):
-            for k in range(n):
-                if matrix[i][j] and matrix[j][k] and not matrix[i][k]:
-                    raise ContredError(
-                        f"{relation} is not transitive on "
-                        f"{names[i]!r}, {names[j]!r}, {names[k]!r}"
-                    )
+        for j in _bits(rows[i]):
+            missed = rows[j] & ~rows[i]
+            if missed:
+                k = (missed & -missed).bit_length() - 1
+                raise ContredError(
+                    f"{relation} is not transitive on "
+                    f"{names[i]!r}, {names[j]!r}, {names[k]!r}"
+                )
 
     assigned: dict[int, int] = {}
     classes: list[tuple[int, ...]] = []

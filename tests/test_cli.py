@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from contred.cli import main
+from contred.cli import build_parser, main
 from contred.corpus import parse
 
 from conftest import assert_valid_dot, run_python
@@ -351,6 +351,20 @@ def test_merging_conflicting_files(tmp_path, capsys):
     assert "declared differently" in capsys.readouterr().err
 
 
+def test_witness_reloads_beside_an_input_with_unsorted_points(tmp_path, capsys):
+    source = tmp_path / "in.clt"
+    source.write_text(
+        "space P\n  points b a\nend\n\nmap p : P -> P\n  a -> a\n  b -> b\nend\n"
+    )
+    assert main(["check", "le2", "p", "p", str(source), "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("yes\n")
+    witness = tmp_path / "witness.clt"
+    witness.write_text(out.removeprefix("yes\n"))
+    assert main(["check", "le2", "p", "p", str(source), str(witness)]) == 0
+    assert capsys.readouterr() == ("yes\n", "")
+
+
 def test_unknown_item_name(clt, capsys):
     assert main(["check", "le2", "ghost", "flip", clt]) == 2
     assert "nothing named 'ghost'" in capsys.readouterr().err
@@ -432,6 +446,23 @@ def test_usage_errors_exit_two(capsys):
     assert main(["check"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_commands_in_one_process_share_no_options(clt, capsys):
+    # the parser is built once per process: a command's flags must not
+    # become the defaults of the next one
+    assert build_parser() is build_parser()
+    assert main(["check", "le2", "flip", "step", clt, "--witness", "--budget", "5"]) == 0
+    assert capsys.readouterr().out.startswith("yes\nspace ")
+    assert main(["check", "le2", "flip", "step", clt]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    # 6 search nodes: "no" under the default budget, exhausted under 5
+    assert main(["check", "le2", "flip", "ident", clt]) == 1
+    assert capsys.readouterr().out == "no\n"
+    assert main(["check", "le9", "flip", "step", clt]) == 2
+    assert "invalid choice: 'le9'" in capsys.readouterr().err
+    assert main(["check", "le2", "flip", "step", clt]) == 0
+    assert capsys.readouterr().out == "yes\n"
 
 
 def test_help_exits_zero(capsys):

@@ -160,6 +160,14 @@ def test_serialize_writes_the_full_strict_order():
     assert "below a a" not in block  # reflexivity stays implicit
 
 
+def test_points_keep_their_declaration_order():
+    text = "space X\n  points q p\n  below p q\nend\n"
+    c = parse(text)
+    assert c.spaces["X"].points == ("q", "p")
+    assert serialize(c) == text
+    assert parse(serialize(c)).spaces["X"] == c.spaces["X"]
+
+
 def test_semantic_equality_ignores_formatting():
     a = parse("space X\n  points p q\n  below p q\nend\n")
     b = parse("# reordered\nspace X\n  points q p\n  below p q  # same\nend\n")

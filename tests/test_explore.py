@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contred.explore
 from contred import (
     UNBOUNDED,
+    ContredError,
     LevelValue,
     SearchExhaustedError,
     SpaceMismatchError,
@@ -167,6 +169,166 @@ def test_degree_poset_raises_on_an_intransitive_decider(flags):
     done = run_python(*flags, "-c", INTRANSITIVE_POSET)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised: le2 is not transitive"), done.stdout
+
+
+MEMBER_INTRANSITIVE_POSET = """
+import contred.explore
+from contred import ContredError, constant_map, degree_poset, discrete, sierpinski
+
+S2, D2 = sierpinski(), discrete(2)
+# in order x, r, m: m joins r's class, and only its entry against the
+# earlier representative x is inconsistent: m <= x but not r <= x
+below = {("m", "x"), ("m", "r"), ("r", "m")}
+
+
+def fake_decide(a, b, *_):
+    return True if a.name == b.name or (a.name, b.name) in below else None
+
+
+contred.explore.decide = fake_decide
+items = [constant_map(S2, D2, "0", name=name) for name in ("x", "r", "m")]
+try:
+    degree_poset(items)
+except ContredError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_degree_poset_checks_a_member_against_earlier_representatives(flags):
+    done = run_python(*flags, "-c", MEMBER_INTRANSITIVE_POSET)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: le2 is not transitive on 'r', 'm', 'x'\n"
+
+
+@pytest.fixture()
+def decisions(monkeypatch):
+    """The (lhs, rhs) name pairs ``degree_poset`` decides, in order."""
+    seen = []
+    real = contred.explore.decide
+
+    def counting(a, b, *rest):
+        seen.append((a.name, b.name))
+        return real(a, b, *rest)
+
+    monkeypatch.setattr(contred.explore, "decide", counting)
+    return seen
+
+
+def _classy_pool():
+    # seven maps in four le2 classes: {bot}, {konst, ident, k1},
+    # {flip, step} and {alt3}
+    return [
+        empty_map(S2, S2, name="bot"),
+        constant_map(S2, S2, "s0", name="konst"),
+        flip,
+        identity_map(S2, name="ident"),
+        step,
+        constant_map(S2, D2, "1", name="k1"),
+        total_map("alt3", C3, D2, {"a": "0", "b": "1", "c": "0"}),
+    ]
+
+
+def test_degree_poset_decides_against_class_representatives(decisions):
+    poset = degree_poset(_classy_pool(), relation="le2")
+    assert [poset.class_label(c) for c in range(len(poset.classes))] == [
+        "alt3", "bot", "flip, step", "ident, k1, konst"
+    ]
+    # each item is decided both ways against the representatives before
+    # the one it joins; a new representative also against itself:
+    # bot 1, konst 2+1, flip 4+1, ident 4, step 6, k1 4, alt3 6+1
+    assert len(decisions) == 30 < 7 * 7
+    reps = {"bot", "konst", "flip", "alt3"}
+    assert {a for a, b in decisions if a == b} == reps
+    assert all(a in reps or b in reps for a, b in decisions)
+    # the members' entries are read from their representatives'
+    assert poset.matrix == _full_matrix(_classy_pool(), "le2")
+
+
+def test_lect_poset_decides_every_ordered_pair(decisions):
+    pool = [x for x in _classy_pool() if x.is_total]
+    poset = degree_poset(pool, relation="lect")
+    assert sorted(decisions) == sorted(
+        (a.name, b.name) for a in pool for b in pool
+    )
+    assert poset.matrix == _full_matrix(pool, "lect")
+
+
+def _full_matrix(items, relation):
+    return tuple(
+        tuple(decide(a, b, relation) is not None for b in items) for a in items
+    )
+
+
+def _full_matrix_poset(items, relation):
+    """The matrix of every ordered pair, decided one by one, with the
+    classes and covers read off it; both are None when it is not a
+    preorder."""
+    matrix = _full_matrix(items, relation)
+    n = len(items)
+    if not all(
+        matrix[i][i] and all(
+            matrix[i][k] or not (matrix[i][j] and matrix[j][k])
+            for j in range(n) for k in range(n)
+        )
+        for i in range(n)
+    ):
+        return matrix, None, None
+    classes = sorted(
+        {
+            tuple(j for j in range(n) if matrix[i][j] and matrix[j][i])
+            for i in range(n)
+        },
+        key=lambda c: sorted(items[i].name for i in c),
+    )
+
+    def below(a, b):
+        return matrix[classes[a][0]][classes[b][0]]
+
+    m = range(len(classes))
+    hasse = tuple(
+        (a, b)
+        for a in m
+        for b in m
+        if a != b
+        and below(a, b)
+        and not any(c not in (a, b) and below(a, c) and below(c, b) for c in m)
+    )
+    return matrix, tuple(classes), hasse
+
+
+@st.composite
+def poset_pools(draw, relation):
+    """Maps drawn with repeats from a few domains, codomains and seeds, so
+    that pools hold repeated degrees; lect takes total maps only, and le0
+    one codomain."""
+    max_points = 3 if relation == "lect" else 4
+    doms = draw(st.lists(spaces_st(0, max_points), min_size=1, max_size=3))
+    one_cod = relation == "le0"
+    cods = draw(st.lists(spaces_st(1, 3), min_size=1, max_size=1 if one_cod else 2))
+    pool = []
+    for k in range(draw(st.integers(2, 8))):
+        dom, cod = draw(st.sampled_from(doms)), draw(st.sampled_from(cods))
+        total = relation == "lect" or draw(st.booleans())
+        make = random_map if total else random_partial_map
+        pool.append(make(dom, cod, seed=draw(st.integers(0, 3)), name=f"m{k}"))
+    return relation, pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["le0", "le2", "lect"]).flatmap(poset_pools))
+def test_degree_poset_agrees_with_the_full_matrix(case):
+    relation, pool = case
+    matrix, classes, hasse = _full_matrix_poset(pool, relation)
+    if classes is None:
+        assert relation == "lect"  # le0 and le2 are preorders
+        with pytest.raises(ContredError, match="not transitive"):
+            degree_poset(pool, relation=relation)
+        return
+    poset = degree_poset(pool, relation=relation)
+    assert poset.matrix == matrix
+    assert poset.classes == classes
+    assert poset.hasse == hasse
 
 
 def test_dot_output_is_valid_and_deterministic():
