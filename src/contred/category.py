@@ -255,6 +255,23 @@ def le0_cat(
 # -- universal constructions ----------------------------------------------
 
 
+def _sole_mediator(mediator: PartialMap, commutes, cap: int) -> None:
+    """Replay the mediator's equations, then confirm by exhausting every
+    total map with its domain and codomain that exactly one commutes."""
+    if not commutes(mediator):
+        raise ContredError("mediator equation failed to replay")
+    dom, cod = mediator.dom, mediator.cod
+    candidates = cod.n**dom.n
+    if candidates > cap:
+        raise CapacityError(f"{candidates} candidate mediators exceed the cap")
+    hits = sum(
+        commutes(_vec_map("cand", dom, cod, vec))
+        for vec in _iproduct(range(cod.n), repeat=dom.n)
+    )
+    if hits != 1:  # pragma: no cover - the mediator is forced pointwise
+        raise ContredError(f"expected exactly one mediator, found {hits}")
+
+
 @dataclass(frozen=True)
 class CoproductResultCat:
     space: Space
@@ -286,26 +303,14 @@ def coproduct_with_mediator(
     mediator = sup0(fam, cod=z, name="copair(" + ",".join(m.name for m in cone) + ")")
     if not mediator.is_total:
         raise ContredError("the mediator is not total")
-    for inj, m in zip(cop.injections, cone):
-        if not map_equal(compose(mediator, inj), m):
-            raise ContredError("mediator equation failed to replay")
-    if cop.space.n and z.n == 0:
-        raise ContredError("no mediator can exist into the empty space")
-    candidates = z.n**cop.space.n if cop.space.n else 1
-    if candidates > cap:
-        raise CapacityError(f"{candidates} candidate mediators exceed the cap")
-    hits = 0
-    for vec in _iproduct(range(z.n), repeat=cop.space.n):
-        cand = _vec_map("cand", cop.space, z, vec)
-        if all(
-            map_equal(compose(cand, inj), m)
-            for inj, m in zip(cop.injections, cone)
-        ):
-            hits += 1
-    unique = hits == 1
-    if not unique:  # pragma: no cover - copairing is forced pointwise
-        raise ContredError(f"expected exactly one mediator, found {hits}")
-    return CoproductResultCat(cop.space, cop.injections, mediator, unique)
+    _sole_mediator(
+        mediator,
+        lambda c: all(
+            map_equal(compose(c, inj), m) for inj, m in zip(cop.injections, cone)
+        ),
+        cap,
+    )
+    return CoproductResultCat(cop.space, cop.injections, mediator, True)
 
 
 @dataclass(frozen=True)
@@ -363,24 +368,11 @@ def pullback_with_mediator(
     if -1 in vec:  # pragma: no cover - commuting cones land inside
         raise ContredError("cone point misses the pullback object")
     mediator = _vec_map(f"tuple[{q0.dom.name}>{sub.name}]", q0.dom, sub, vec)
-    for p, q in zip(projections, cone):
-        if not map_equal(compose(p, mediator), q):
-            raise ContredError("mediator equation failed to replay")
-    candidates = sub.n**q0.dom.n if q0.dom.n else 1
-    if q0.dom.n and sub.n == 0:
-        candidates = 0
-    if candidates > cap:
-        raise CapacityError(f"{candidates} candidate mediators exceed the cap")
-    hits = 0
-    for vec in _iproduct(range(sub.n), repeat=q0.dom.n):
-        cand = _vec_map("cand", q0.dom, sub, vec)
-        if all(
-            map_equal(compose(p, cand), q)
-            for p, q in zip(projections, cone)
-        ):
-            hits += 1
-    if hits != 1:  # pragma: no cover - tupling is forced pointwise
-        raise ContredError(f"expected exactly one mediator, found {hits}")
+    _sole_mediator(
+        mediator,
+        lambda c: all(map_equal(compose(p, c), q) for p, q in zip(projections, cone)),
+        cap,
+    )
     return PullbackResultCat(
         sub, projections, common, mediator, is_continuous(mediator), True
     )
@@ -416,23 +408,20 @@ def poset_to_category(poset: DegreePoset, name: str | None = None) -> ThinCatego
     )
 
 
-def thin_coproduct(cat: ThinCategory, a: str, b: str) -> str | None:
-    """Binary coproduct in a thin category: the least upper bound, if any."""
-    uppers = [
-        o for o in cat.objects if cat.below(a, o) and cat.below(b, o)
-    ]
+def _least_upper(cat: ThinCategory, a: str, b: str, below) -> str | None:
+    """The least object above both ``a`` and ``b`` in the order ``below``."""
+    uppers = [o for o in cat.objects if below(a, o) and below(b, o)]
     for c in uppers:
-        if all(cat.below(c, other) for other in uppers):
+        if all(below(c, other) for other in uppers):
             return c
     return None
+
+
+def thin_coproduct(cat: ThinCategory, a: str, b: str) -> str | None:
+    """Binary coproduct in a thin category: the least upper bound, if any."""
+    return _least_upper(cat, a, b, cat.below)
 
 
 def thin_pullback(cat: ThinCategory, a: str, b: str) -> str | None:
-    """Meet of two objects: pullback over any common upper bound."""
-    lowers = [
-        o for o in cat.objects if cat.below(o, a) and cat.below(o, b)
-    ]
-    for c in lowers:
-        if all(cat.below(other, c) for other in lowers):
-            return c
-    return None
+    """Meet of two objects: the least upper bound in the opposite order."""
+    return _least_upper(cat, a, b, lambda x, y: cat.below(y, x))

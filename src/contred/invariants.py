@@ -137,8 +137,6 @@ def lev_point(f: PartialMap, x: str, variant: int = 1) -> LevelValue:
     for k, m in enumerate(chain):
         if not (m >> i) & 1:
             return LevelValue(k)
-    if chain[-1] == 0:  # pragma: no cover - empty final stage contains nothing
-        return LevelValue(len(chain) - 1)
     return UNBOUNDED
 
 

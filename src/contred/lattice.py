@@ -28,8 +28,6 @@ from .reducibility import (
     Witness0,
     Witness2,
     decide,
-    le2_map,
-    le2_problem,
     verify_witness0,
     verify_witness2,
 )
@@ -97,6 +95,42 @@ def _family(family, tags=None) -> TaggedFamily:
     return tagged(tuple(family), tags)
 
 
+def _replayed(lhs, rhs, w: Witness0 | Witness2, message: str):
+    """``w`` once it replays ``lhs`` below ``rhs``; InvalidWitnessError if not."""
+    verify = verify_witness2 if isinstance(w, Witness2) else verify_witness0
+    if not verify(lhs, rhs, w):
+        raise InvalidWitnessError(message)
+    return w
+
+
+def _lift(join, prefix: str, fam: TaggedFamily, cod: Space, name, cap: int) -> Problem:
+    """The problem whose members are ``join`` of each memberwise selection,
+    one member from each problem of ``fam``; ``prefix`` names the join."""
+    probs: tuple[Problem, ...] = fam.items
+    count = 1
+    for P in probs:
+        count *= len(P.members)
+        if count > cap:
+            raise CapacityError(f"more than {cap} member selections in {prefix}_problem")
+    dom = coproduct([P.dom for P in probs], fam.tags).space
+    label = name or prefix + "(" + ",".join(P.name for P in probs) + ")"
+    members = [
+        join(tagged(picks, fam.tags), name=f"{label}.s{k}")
+        for k, picks in enumerate(_iproduct(*(P.members for P in probs)))
+    ]
+    return problem(label, dom, cod, members)
+
+
+def _glued(fam: TaggedFamily, bound: PartialMap, member_witnesses, label: str):
+    """The member translations one after another: the coproduct of the
+    members' domains lists their blocks in the same order."""
+    dom = coproduct([m.dom for m in fam.items], fam.tags).space
+    vec = [v for w in member_witnesses for v in w.translation.vec]
+    if len(vec) != dom.n:
+        raise InvalidWitnessError("member witnesses do not fit the family")
+    return _vec_map(label, dom, bound.dom, vec)
+
+
 # -- sup2 -----------------------------------------------------------------
 
 
@@ -137,21 +171,8 @@ def sup2_problem(
     problem at the coproduct type.
     """
     fam = _family(family, tags)
-    probs: tuple[Problem, ...] = fam.items
-    count = 1
-    for P in probs:
-        count *= len(P.members)
-        if count > cap:
-            raise CapacityError(f"more than {cap} member selections in sup2_problem")
-    dom = coproduct([P.dom for P in probs], fam.tags).space
-    cod = coproduct([P.cod for P in probs], fam.tags).space
-    label = name or "sup2(" + ",".join(P.name for P in probs) + ")"
-    members = []
-    for k, picks in enumerate(_iproduct(*(P.members for P in probs))):
-        members.append(
-            sup2(tagged(picks, fam.tags), name=f"{label}.s{k}")
-        )
-    return problem(label, dom, cod, members)
+    cod = coproduct([P.cod for P in fam.items], fam.tags).space
+    return _lift(sup2, "sup2", fam, cod, name, cap)
 
 
 def sup2_upper_witness(
@@ -171,10 +192,9 @@ def sup2_upper_witness(
         untag[v] = y
     prod = product_space(member.dom, cod.space)
     f = _vec_map(f"untag[{tag}]", prod, member.cod, untag * member.dom.n)
-    w = Witness2(g, f)
-    if not verify_witness2(member, sup2(fam), w):
-        raise InvalidWitnessError("sup2 upper witness failed to replay")
-    return w
+    return _replayed(
+        member, sup2(fam), Witness2(g, f), "sup2 upper witness failed to replay"
+    )
 
 
 def sup2_least_witness(
@@ -189,28 +209,22 @@ def sup2_least_witness(
     translate componentwise and tag the postprocessed answers.
     """
     fam = _family(family, tags)
-    maps = fam.items
-    sup = sup2(fam)
-    cop_dom = coproduct([m.dom for m in maps], fam.tags).space
-    cop_cod = coproduct([m.cod for m in maps], fam.tags)
-    # both G's domain and F's (the coproduct times bound.cod) list the
-    # members' blocks one after another, so each vector is the members'
-    # vectors in turn
-    g_vec = [v for w in member_witnesses for v in w.translation.vec]
-    g = _vec_map(f"G[sup,{bound.name}]", cop_dom, bound.dom, g_vec)
+    cop_cod = coproduct([m.cod for m in fam.items], fam.tags)
+    # F's domain, the coproduct times bound.cod, also lists the members'
+    # blocks one after another, so F's vector is the members' in turn
     f_vec = [
         inj.vec[v] if v >= 0 else -1
         for w, inj in zip(member_witnesses, cop_cod.injections)
         for v in w.postprocess.vec
     ]
-    prod = product_space(cop_dom, bound.cod)
-    if len(g_vec) != cop_dom.n or len(f_vec) != prod.n:
+    g = _glued(fam, bound, member_witnesses, f"G[sup,{bound.name}]")
+    prod = product_space(g.dom, bound.cod)
+    if len(f_vec) != prod.n:
         raise InvalidWitnessError("member witnesses do not fit the family")
     f = _vec_map(f"F[sup,{bound.name}]", prod, cop_cod.space, f_vec)
-    w = Witness2(g, f)
-    if not verify_witness2(sup, bound, w):
-        raise InvalidWitnessError("sup2 least witness failed to replay")
-    return w
+    return _replayed(
+        sup2(fam), bound, Witness2(g, f), "sup2 least witness failed to replay"
+    )
 
 
 # -- sup0 -----------------------------------------------------------------
@@ -255,21 +269,10 @@ def sup0_problem(
 ) -> Problem:
     """All untagged joins of memberwise selections."""
     fam = _family(family, tags)
-    probs: tuple[Problem, ...] = fam.items
-    z = _common_cod([P for P in probs], cod) if probs else cod
-    if z is None:
-        raise ValueError("empty family needs an explicit codomain")
-    count = 1
-    for P in probs:
-        count *= len(P.members)
-        if count > cap:
-            raise CapacityError(f"more than {cap} member selections in sup0_problem")
-    dom = coproduct([P.dom for P in probs], fam.tags).space
-    label = name or "sup0(" + ",".join(P.name for P in probs) + ")"
-    members = []
-    for k, picks in enumerate(_iproduct(*(P.members for P in probs))):
-        members.append(sup0(tagged(picks, fam.tags), cod=z, name=f"{label}.s{k}"))
-    return problem(label, dom, z, members)
+    z = _common_cod(fam.items, cod)
+    return _lift(
+        lambda picks, name: sup0(picks, cod=z, name=name), "sup0", fam, z, name, cap
+    )
 
 
 def sup0_upper_witness(
@@ -283,9 +286,9 @@ def sup0_upper_witness(
     pos = fam.tags.index(tag)
     cop = coproduct([m.dom for m in fam.items], fam.tags)
     w = Witness0(cop.injections[pos])
-    if not verify_witness0(fam.items[pos], sup0(fam, cod=cod), w):
-        raise InvalidWitnessError("sup0 upper witness failed to replay")
-    return w
+    return _replayed(
+        fam.items[pos], sup0(fam, cod=cod), w, "sup0 upper witness failed to replay"
+    )
 
 
 def sup0_least_witness(
@@ -296,14 +299,8 @@ def sup0_least_witness(
 ) -> Witness0:
     """Member translations glued componentwise over the coproduct."""
     fam = _family(family, tags)
-    dom = coproduct([m.dom for m in fam.items], fam.tags).space
-    vec = [v for w in member_witnesses for v in w.translation.vec]
-    if len(vec) != dom.n:
-        raise InvalidWitnessError("member witnesses do not fit the family")
-    w = Witness0(_vec_map(f"G[sup0,{bound.name}]", dom, bound.dom, vec))
-    if not verify_witness0(sup0(fam), bound, w):
-        raise InvalidWitnessError("sup0 least witness failed to replay")
-    return w
+    w = Witness0(_glued(fam, bound, member_witnesses, f"G[sup0,{bound.name}]"))
+    return _replayed(sup0(fam), bound, w, "sup0 least witness failed to replay")
 
 
 # -- inf0 -----------------------------------------------------------------
@@ -377,12 +374,10 @@ def inf0(
     """
     fam = _family(family, tags)
     if not len(fam):
-        if cod is None:
-            raise ValueError("empty family needs an explicit codomain")
-        return _vec_map(
-            name or f"top({cod.name})", _indiscrete_copy(cod), cod, range(cod.n)
-        )
+        z = _common_cod((), cod)
+        return _vec_map(name or f"top({z.name})", _indiscrete_copy(z), z, range(z.n))
     _, _, common = fibered_with_projections(fam, name=name)
+    _common_cod(fam.items, cod)  # an explicit codomain must be the family's
     return common
 
 
@@ -396,9 +391,7 @@ def inf0_lower_witness(
     pos = fam.tags.index(tag)
     _, projections, common = fibered_with_projections(fam)
     w = Witness0(projections[pos])
-    if not verify_witness0(common, fam.items[pos], w):
-        raise InvalidWitnessError("inf0 lower witness failed to replay")
-    return w
+    return _replayed(common, fam.items[pos], w, "inf0 lower witness failed to replay")
 
 
 def inf0_greatest_witness(
@@ -412,17 +405,44 @@ def inf0_greatest_witness(
     sub, projections, common = fibered_with_projections(fam)
     vec = _tupling(sub, projections, [w.translation for w in member_witnesses])
     w = Witness0(_vec_map(f"G[{lower.name},inf0]", lower.dom, sub, vec))
-    if not verify_witness0(lower, common, w):
-        raise InvalidWitnessError("inf0 greatest witness failed to replay")
-    return w
+    return _replayed(lower, common, w, "inf0 greatest witness failed to replay")
 
 
 # -- distributivity -------------------------------------------------------
 
 
-def _tag_at(tags: Sequence[str], spaces: Sequence[Space]) -> list[str]:
-    """The tag of each point of the coproduct of ``spaces``, by index."""
-    return [t for t, s in zip(tags, spaces) for _ in range(s.n)]
+def _preimages(dom: Space, live: int, translation: PartialMap, fam: TaggedFamily):
+    """Per tag, the mask of the ``live`` points whose translation lands in
+    that tag's summand; each must be clopen among the live points."""
+    owner = [k for k, item in enumerate(fam.items) for _ in range(item.dom.n)]
+    masks = [0] * len(fam)
+    gv = translation.vec
+    for i in _bits(live):
+        if gv[i] < 0:
+            raise InvalidWitnessError(
+                f"translation undefined at defined point {dom.points[i]!r}"
+            )
+        masks[owner[gv[i]]] |= 1 << i
+    for t, mask in zip(fam.tags, masks):
+        for i in _bits(mask):
+            if (dom.up[i] | dom.down[i]) & live & ~mask:
+                raise ContredError(f"component preimage for tag {t!r} is not clopen")
+    return masks
+
+
+def _rejoined(whole, pieces, members, split, kind: str, budget) -> None:
+    """Re-decide that each piece reduces to its member and that the pieces'
+    join ``split`` is equivalent to ``whole``."""
+    for piece, member in zip(pieces, members):
+        if decide(piece, member, "le2", budget) is None:
+            raise ContredError(
+                f"piece {piece.name!r} does not reduce to {member.name!r}"
+            )
+    if (
+        decide(whole, split, "le2", budget) is None
+        or decide(split, whole, "le2", budget) is None
+    ):
+        raise ContredError(f"pieces do not reassemble to the original {kind}")
 
 
 def distribute2(
@@ -441,37 +461,14 @@ def distribute2(
     deciders before returning.
     """
     fam = _family(family, tags)
-    sup = sup2(fam)
-    if not verify_witness2(f, sup, witness):
-        raise InvalidWitnessError("witness does not reduce f to the sup")
-    gv = witness.translation.vec
-    tag_at = _tag_at(fam.tags, [m.dom for m in fam.items])
-    dm = f.def_mask
-    buckets = dict.fromkeys(fam.tags, 0)
-    for i in _bits(dm):
-        if gv[i] < 0:
-            raise InvalidWitnessError(
-                f"translation undefined at defined point {f.dom.points[i]!r}"
-            )
-        buckets[tag_at[gv[i]]] |= 1 << i
-    up = f.dom.up
-    down = f.dom.down
-    parts = []
-    for t in fam.tags:
-        mask = buckets[t]
-        for i in _bits(mask):
-            if (up[i] & dm) & ~mask or (down[i] & dm) & ~mask:
-                raise ContredError(
-                    f"component preimage for tag {t!r} is not clopen"
-                )
-        parts.append(_restrict_mask(f, mask, f"{f.name}_{t}"))
-    for (t, g_t), f_t in zip(fam, parts):
-        if le2_map(f_t, g_t, budget) is None:
-            raise ContredError(f"piece {f_t.name!r} does not reduce to {g_t.name!r}")
-    split = sup2(tagged(parts, fam.tags))
-    if le2_map(f, split, budget) is None or le2_map(split, f, budget) is None:
-        raise ContredError("pieces do not reassemble to the original map")
-    return tagged(parts, fam.tags)
+    _replayed(f, sup2(fam), witness, "witness does not reduce f to the sup")
+    masks = _preimages(f.dom, f.def_mask, witness.translation, fam)
+    parts = tagged(
+        [_restrict_mask(f, m, f"{f.name}_{t}") for t, m in zip(fam.tags, masks)],
+        fam.tags,
+    )
+    _rejoined(f, parts.items, fam.items, sup2(parts), "map", budget)
+    return parts
 
 
 def distribute2_relation(
@@ -482,40 +479,26 @@ def distribute2_relation(
     budget: int | Budget | None = None,
     cap: int = SELECTION_CAP,
 ) -> TaggedFamily:
-    """The relation form of distribute2, through choice-function problems."""
+    """The relation form of distribute2, through choice-function problems.
+
+    Each choice problem is built once and named after its relation, so a
+    failed check names the relations."""
     fam = _family(family, tags)
     P = choice_functions(rel, cap)
-    Q = sup2_problem([choice_functions(s, cap) for s in fam.items], fam.tags, cap=cap)
-    if not verify_witness2(P, Q, witness):
-        raise InvalidWitnessError("witness does not reduce the choice problems")
-    gv = witness.translation.vec
-    tag_at = _tag_at(fam.tags, [s.dom for s in fam.items])
-    buckets: dict[str, set[str]] = {t: set() for t in fam.tags}
-    for x, target in zip(rel.dom.points, gv):
-        if x not in rel.targets:
-            continue
-        if target < 0:
-            raise InvalidWitnessError(f"translation undefined at source {x!r}")
-        buckets[tag_at[target]].add(x)
-    parts = tuple(
-        relation(
-            f"{rel.name}_{t}",
-            rel.dom,
-            rel.cod,
-            [(x, y) for x, y in rel.pairs if x in buckets[t]],
-        )
-        for t in fam.tags
+    members = [choice_functions(s, cap, s.name) for s in fam.items]
+    Q = sup2_problem(members, fam.tags, cap=cap)
+    _replayed(P, Q, witness, "witness does not reduce the choice problems")
+    masks = _preimages(rel.dom, rel.dom.mask_of(rel.targets), witness.translation, fam)
+    index = rel.dom.index
+    cuts = [[(x, y) for x, y in rel.pairs if m >> index[x] & 1] for m in masks]
+    parts = tagged(
+        [relation(f"{rel.name}_{t}", rel.dom, rel.cod, c) for t, c in zip(fam.tags, cuts)],
+        fam.tags,
     )
-    for (t, s_t), r_t in zip(fam, parts):
-        if le2_problem(choice_functions(r_t, cap), choice_functions(s_t, cap), budget) is None:
-            raise ContredError(f"piece {r_t.name!r} does not reduce to {s_t.name!r}")
-    split = sup2_problem([choice_functions(r, cap) for r in parts], fam.tags, cap=cap)
-    if (
-        le2_problem(P, split, budget) is None
-        or le2_problem(split, P, budget) is None
-    ):
-        raise ContredError("pieces do not reassemble to the original relation")
-    return tagged(parts, fam.tags)
+    pieces = [choice_functions(r, cap, r.name) for r in parts.items]
+    split = sup2_problem(pieces, fam.tags, cap=cap)
+    _rejoined(P, pieces, members, split, "relation", budget)
+    return parts
 
 
 # -- bound verification ----------------------------------------------------
@@ -525,6 +508,24 @@ def distribute2_relation(
 class BoundReport:
     ok: bool
     violations: tuple[str, ...]
+
+
+def _bound_report(candidate, family, pool, below, unbounded: str) -> BoundReport:
+    """The two halves of a least upper bound in the order ``below``: every
+    member lies below the candidate, worded by ``unbounded``, and every
+    pool item above the whole family lies above the candidate too."""
+    fam = _family(family)
+    violations = [
+        unbounded.format(tag=tag, name=item.name)
+        for tag, item in fam
+        if not below(item, candidate)
+    ]
+    for other in pool:
+        if all(below(item, other) for _, item in fam) and not below(candidate, other):
+            violations.append(
+                f"pool item {other.name} bounds the family but not the candidate"
+            )
+    return BoundReport(not violations, tuple(violations))
 
 
 def verify_lub(
@@ -541,21 +542,13 @@ def verify_lub(
     item bounding the whole family also bounds the candidate.  Violations
     carry the offending names.
     """
-    fam = _family(family)
-    violations = []
-    for tag, item in fam:
-        if decide(item, candidate, relation, budget, cap) is None:
-            violations.append(f"member {tag} ({item.name}) is not below the candidate")
-    for other in pool:
-        if all(
-            decide(item, other, relation, budget, cap) is not None
-            for _, item in fam
-        ):
-            if decide(candidate, other, relation, budget, cap) is None:
-                violations.append(
-                    f"pool item {other.name} bounds the family but not the candidate"
-                )
-    return BoundReport(not violations, tuple(violations))
+    return _bound_report(
+        candidate,
+        family,
+        pool,
+        lambda a, b: decide(a, b, relation, budget, cap) is not None,
+        "member {tag} ({name}) is not below the candidate",
+    )
 
 
 def verify_glb(
@@ -566,19 +559,12 @@ def verify_glb(
     budget: int | Budget | None = None,
     cap: int = 3,
 ) -> BoundReport:
-    """Dual of verify_lub: lower bound plus greatest against a pool."""
-    fam = _family(family)
-    violations = []
-    for tag, item in fam:
-        if decide(candidate, item, relation, budget, cap) is None:
-            violations.append(f"candidate is not below member {tag} ({item.name})")
-    for other in pool:
-        if all(
-            decide(other, item, relation, budget, cap) is not None
-            for _, item in fam
-        ):
-            if decide(other, candidate, relation, budget, cap) is None:
-                violations.append(
-                    f"pool item {other.name} bounds the family but not the candidate"
-                )
-    return BoundReport(not violations, tuple(violations))
+    """Dual of verify_lub: a greatest lower bound is a least upper bound in
+    the opposite order."""
+    return _bound_report(
+        candidate,
+        family,
+        pool,
+        lambda a, b: decide(b, a, relation, budget, cap) is not None,
+        "candidate is not below member {tag} ({name})",
+    )

@@ -373,7 +373,7 @@ def partial_map(
     cod: Space,
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> PartialMap:
-    return PartialMap(name, dom, cod, dict(mapping).items())
+    return make_map(name, dom, cod, mapping)
 
 
 def total_map(
@@ -383,7 +383,7 @@ def total_map(
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> PartialMap:
     """Build a map that must be defined at every point of ``dom``."""
-    m = PartialMap(name, dom, cod, dict(mapping).items())
+    m = make_map(name, dom, cod, mapping)
     if not m.is_total:
         missing = sorted(dom.points[i] for i, v in enumerate(m.vec) if v < 0)
         raise ValueError(
@@ -398,9 +398,11 @@ def make_map(
     cod: Space,
     mapping: Mapping[str, str] | Iterable[tuple[str, str]],
 ) -> PartialMap:
-    """Build the map with the given rows; ``is_total`` says whether they
+    """Build the map with the given rows, a Mapping or (point, value) pairs;
+    a point given two rows is an error.  ``is_total`` says whether the rows
     cover the domain."""
-    return _vec_map(name, dom, cod, _rows_vec(name, dom, cod, dict(mapping).items()))
+    rows = mapping.items() if isinstance(mapping, Mapping) else mapping
+    return _vec_map(name, dom, cod, _rows_vec(name, dom, cod, rows))
 
 
 def identity_map(space: Space, name: str | None = None) -> PartialMap:
@@ -503,8 +505,8 @@ class CoproductResult:
 
 
 @lru_cache(maxsize=None)
-def _product_cached(spaces: tuple[Space, ...], name: str | None) -> ProductResult:
-    name = name or "prod(" + ",".join(s.name for s in spaces) + ")"
+def _product_cached(spaces: tuple[Space, ...]) -> ProductResult:
+    name = "prod(" + ",".join(s.name for s in spaces) + ")"
     combos = list(_iproduct(*(range(s.n) for s in spaces)))
     pts = _tuple_names(
         [[s.points[i] for s, i in zip(spaces, c)] for c in combos],
@@ -523,7 +525,7 @@ def _product_cached(spaces: tuple[Space, ...], name: str | None) -> ProductResul
     return ProductResult(space, projections)
 
 
-def product(spaces: Sequence[Space], name: str | None = None) -> ProductResult:
+def product(spaces: Sequence[Space]) -> ProductResult:
     """Topological product with componentwise below; empty products are rejected.
 
     The point with coordinates (i_1, ..., i_k) sits at index
@@ -535,7 +537,7 @@ def product(spaces: Sequence[Space], name: str | None = None) -> ProductResult:
     spaces = tuple(spaces)
     if not spaces:
         raise ValueError("empty product has no canonical point set; refusing")
-    return _product_cached(spaces, name)
+    return _product_cached(spaces)
 
 
 def product_space(a: Space, b: Space) -> Space:
@@ -545,8 +547,9 @@ def product_space(a: Space, b: Space) -> Space:
 
 @lru_cache(maxsize=None)
 def _coproduct_cached(
-    spaces: tuple[Space, ...], tags: tuple[str, ...], name: str
+    spaces: tuple[Space, ...], tags: tuple[str, ...]
 ) -> CoproductResult:
+    name = "coprod(" + ",".join(f"{t}.{s.name}" for t, s in zip(tags, spaces)) + ")"
     pts = _tuple_names(
         [(tag, p) for tag, s in zip(tags, spaces) for p in s.points],
         lambda parts: f"{parts[0]}.{parts[1]}",
@@ -566,9 +569,7 @@ def _coproduct_cached(
 
 
 def coproduct(
-    spaces: Sequence[Space],
-    tags: Sequence[str] | None = None,
-    name: str | None = None,
+    spaces: Sequence[Space], tags: Sequence[str] | None = None
 ) -> CoproductResult:
     """Disjoint union; points are tagged "tag.point".  Empty family allowed.
 
@@ -585,8 +586,7 @@ def coproduct(
         raise ValueError("one tag per space required")
     if len(set(tags)) != len(tags):
         raise ValueError("coproduct tags must be unique")
-    default = "coprod(" + ",".join(f"{t}.{s.name}" for t, s in zip(tags, spaces)) + ")"
-    return _coproduct_cached(spaces, tags, name or default)
+    return _coproduct_cached(spaces, tags)
 
 
 def subspace(space: Space, subset: Iterable[str], name: str | None = None) -> Space:

@@ -16,6 +16,7 @@ from contred import (
     chain,
     choice_functions,
     constant_map,
+    decide,
     discrete,
     distribute2,
     distribute2_relation,
@@ -34,6 +35,8 @@ from contred import (
     map_equal,
     problem,
     product,
+    random_map,
+    random_partial_map,
     relation,
     restrict,
     sierpinski,
@@ -88,6 +91,13 @@ def test_tags_given_with_a_tagged_family_must_agree():
     for build in (sup2, sup0, inf0):
         with pytest.raises(ValueError, match="disagree"):
             build(fam, tags=["x", "y"])
+
+
+def test_an_explicit_codomain_must_match_the_family():
+    for build in (sup0, inf0):
+        with pytest.raises(ContredError, match="explicit codomain disagrees"):
+            build([c0], cod=S2)
+        assert build([c0], cod=D2) == build([c0])
 
 
 # -- joins for the one-query order ----------------------------------------
@@ -294,6 +304,59 @@ def test_bound_checkers_flag_false_candidates():
     assert not notbelow.ok and any("not below" in v for v in notbelow.violations)
     glb = verify_glb(c0, tagged([c1]), pool=[], relation="le0")
     assert not glb.ok
+    notabove = verify_glb(c1, [c0], pool=[], relation="le0")
+    assert notabove.violations == ("candidate is not below member 0 (c0)",)
+    notgreatest = verify_glb(empty_map(S2, D2), [c0], pool=[c0], relation="le0")
+    assert notgreatest.violations == (
+        "pool item c0 bounds the family but not the candidate",
+    )
+
+
+@st.composite
+def bound_checks(draw):
+    """A relation, a family, a candidate and a pool of maps on at most two
+    points; under le0 they share one codomain."""
+    relation = draw(st.sampled_from(("le0", "le2")))
+    shared = draw(spaces_st(1, 2))
+    items = []
+    for k in range(draw(st.integers(2, 6))):
+        dom = draw(spaces_st(0, 2))
+        cod = shared if relation == "le0" else draw(spaces_st(1, 2))
+        build = draw(st.sampled_from((random_map, random_partial_map)))
+        items.append(build(dom, cod, seed=draw(seeds), name=f"i{k}"))
+    size = draw(st.integers(1, len(items) - 1))
+    return relation, items[:size], items[size], items
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_checks())
+def test_bound_checkers_match_both_halves_decided_directly(case):
+    relation, family, candidate, pool = case
+
+    def below(a, b):
+        return decide(a, b, relation) is not None
+
+    def unbounding(above):
+        return [
+            f"pool item {o.name} bounds the family but not the candidate"
+            for o in pool
+            if all(above(m, o) for m in family) and not above(candidate, o)
+        ]
+
+    lub = [
+        f"member {k} ({m.name}) is not below the candidate"
+        for k, m in enumerate(family)
+        if not below(m, candidate)
+    ] + unbounding(below)
+    glb = [
+        f"candidate is not below member {k} ({m.name})"
+        for k, m in enumerate(family)
+        if not below(candidate, m)
+    ] + unbounding(lambda a, b: below(b, a))
+    for verify, expected in ((verify_lub, lub), (verify_glb, glb)):
+        report = verify(candidate, family, pool, relation)
+        assert report.violations == tuple(expected)
+        assert report.ok == (not expected)
 
 
 # -- the splitting construction -------------------------------------------
@@ -368,8 +431,9 @@ def test_splitting_rejects_invalid_witnesses():
         distribute2(flip, fam, bogus, tags=("l", "r"))
 
 
-def test_splitting_choice_relations():
-    # r1 constrains source 0, r2 constrains source 1; rel holds both rows
+def choice_split_case():
+    """r1 constrains source 0, r2 constrains source 1, rel holds both rows;
+    the witness reduces rel's choice problem to the join of theirs."""
     r1 = relation("r1", D2, D2, [("0", "0"), ("0", "1")])
     r2 = relation("r2", D2, D2, [("1", "1")])
     rel = relation("rel", D2, D2, [("0", "0"), ("0", "1"), ("1", "1")])
@@ -383,7 +447,24 @@ def test_splitting_choice_relations():
             f_rows[p] = y
     w = Witness2(g, make_map("F", prod.space, D2, f_rows))
     assert verify_witness2(choice_functions(rel), joined, w)
+    return rel, [r1, r2], w
+
+
+def test_splitting_choice_relations(monkeypatch):
+    import contred.lattice
+
+    rel, (r1, r2), w = choice_split_case()
+    real, built = contred.lattice.choice_functions, []
+
+    def counted(r, *args):
+        built.append(r.name)
+        return real(r, *args)
+
+    monkeypatch.setattr(contred.lattice, "choice_functions", counted)
     parts = distribute2_relation(rel, [r1, r2], w, tags=("L", "R"))
+    # each choice problem is built once: the relation's, each member's and
+    # each piece's
+    assert sorted(built) == ["r1", "r2", "rel", "rel_L", "rel_R"]
     assert parts.tags == ("L", "R")
     got = {tag: sorted(piece.pairs) for tag, piece in parts}
     assert got["L"] == [("0", "0"), ("0", "1")]
@@ -391,3 +472,40 @@ def test_splitting_choice_relations():
     for (tag, piece), original in zip(parts, (r1, r2)):
         wp = le2_problem(choice_functions(piece), choice_functions(original))
         assert wp is not None
+
+
+@pytest.mark.parametrize(
+    "form, refused, message",
+    [
+        ("map", 0, "piece 'sup2(flip,step)_l' does not reduce to 'flip'"),
+        ("map", 2, "pieces do not reassemble to the original map"),
+        ("relation", 0, "piece 'rel_L' does not reduce to 'r1'"),
+        ("relation", 2, "pieces do not reassemble to the original relation"),
+    ],
+    ids=["map-piece", "map-rejoin", "relation-piece", "relation-rejoin"],
+)
+def test_splitting_re_decides_the_pieces_and_their_rejoin(
+    monkeypatch, form, refused, message
+):
+    # the first ``refused`` decisions (one per piece) are real, later ones say no
+    import contred.lattice
+
+    real, calls = contred.lattice.decide, []
+
+    def refusing(*args):
+        calls.append(args)
+        return None if len(calls) > refused else real(*args)
+
+    if form == "map":
+        fam = tagged([flip, step], tags=("l", "r"))
+        j = sup2(fam)
+        args = (j, fam, identity_witness_for(j))
+        split = distribute2
+    else:
+        rel, fam, w = choice_split_case()
+        args = (rel, fam, w, ("L", "R"))
+        split = distribute2_relation
+    monkeypatch.setattr(contred.lattice, "decide", refusing)
+    with pytest.raises(ContredError) as exc:
+        split(*args)
+    assert str(exc.value) == message

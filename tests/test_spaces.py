@@ -28,6 +28,7 @@ from contred import (
     is_continuous_at,
     make_map,
     map_equal,
+    partial_map,
     pi_pair,
     pi_power,
     problem,
@@ -314,6 +315,16 @@ def test_map_constructors_validate_rows():
         PartialMap("f", S2, D2, (("s0", "0"), ("s0", "1")))  # duplicate row
     with pytest.raises(ValueError):
         make_map("f", S2, D2, {"zz": "0"})
+
+
+def test_map_builders_reject_conflicting_rows():
+    # pairs reach the row check as given, so a point cannot be given twice
+    conflicting = [("s0", "s0"), ("s0", "s1"), ("s1", "s1")]
+    for build in (make_map, partial_map, total_map):
+        with pytest.raises(ValueError, match="duplicate row for 's0'"):
+            build("f", S2, S2, conflicting)
+        from_pairs = build("f", S2, S2, [("s0", "s1"), ("s1", "s1")])
+        assert from_pairs == build("f", S2, S2, {"s0": "s1", "s1": "s1"})
 
 
 def test_make_map_classifies_totality():
