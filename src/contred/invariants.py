@@ -12,16 +12,18 @@ The base size is the least number of pieces in a partition of the domain
 of definition into sets on which the map restricts continuously.  A
 restriction is continuous precisely when its piece spans no edge of the
 conflict graph (comparable points whose values fail to compare the same
-way), so the base size is that graph's chromatic number, computed
-exactly.
+way), so the base size is that graph's chromatic number.  It is computed
+exactly on the backtracking kernel that the reducibility searches use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import count
 
 from .errors import ContredError
+from .reducibility import Budget, _search
 from .spaces import PartialMap, Problem, _bits, _breaks
 
 
@@ -120,12 +122,17 @@ def level_sets(f: PartialMap, variant: int = 1) -> tuple[frozenset[str], ...]:
     return tuple(f.dom.set_of(m) for m in _level_chain(f, variant))
 
 
+def _stage(chain: list[int], mask: int) -> LevelValue:
+    """First stage of ``chain`` that holds no point of ``mask``."""
+    for k, m in enumerate(chain):
+        if not m & mask:
+            return LevelValue(k)
+    return UNBOUNDED
+
+
 def level(f: PartialMap, variant: int = 1) -> LevelValue:
     """Number of rounds needed to empty the domain; Unbounded if it never does."""
-    chain = _level_chain(f, variant)
-    if chain[-1] == 0:
-        return LevelValue(len(chain) - 1)
-    return UNBOUNDED
+    return _stage(_level_chain(f, variant), -1)
 
 
 def lev_point(f: PartialMap, x: str, variant: int = 1) -> LevelValue:
@@ -133,11 +140,7 @@ def lev_point(f: PartialMap, x: str, variant: int = 1) -> LevelValue:
     i = f.dom.point_index(x)
     if not (f.def_mask >> i) & 1:
         raise ValueError(f"map {f.name!r} undefined at {x!r}")
-    chain = _level_chain(f, variant)
-    for k, m in enumerate(chain):
-        if not (m >> i) & 1:
-            return LevelValue(k)
-    return UNBOUNDED
+    return _stage(_level_chain(f, variant), 1 << i)
 
 
 def level_problem(P: Problem, variant: int = 1) -> LevelValue:
@@ -166,80 +169,41 @@ def _conflict_pairs(f: PartialMap) -> list[tuple[int, int]]:
     return sorted({(min(e), max(e)) for e in _breaks(f, f.def_mask)})
 
 
-def _exact_coloring(adj: list[int]) -> tuple[int, list[int]]:
-    """Chromatic number with certificate: lowest vertex first, colors ascending."""
-    n = len(adj)
-    if n == 0:
-        return 0, []
-    # greedy first-fit upper bound
-    greedy = [-1] * n
-    for v in range(n):
-        used = {greedy[u] for u in _bits(adj[v]) if u < v}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    ub = max(greedy) + 1
-    # greedy clique lower bound
-    clique: list[int] = []
-    cmask = 0
-    for v in range(n):
-        if cmask & ~adj[v]:
-            continue
-        clique.append(v)
-        cmask |= 1 << v
-    lb = max(1, len(clique))
-
-    def try_k(k: int) -> list[int] | None:
-        colors = [-1] * n
-
-        def bt(v: int, used: int) -> bool:
-            if v == n:
-                return True
-            limit = min(k, used + 1)
-            for c in range(limit):
-                if all(colors[u] != c for u in _bits(adj[v])):
-                    colors[v] = c
-                    if bt(v + 1, max(used, c + 1)):
-                        return True
-                    colors[v] = -1
-            return False
-
-        return list(colors) if bt(0, 0) else None
-
-    for k in range(lb, ub):
-        res = try_k(k)
-        if res is not None:
-            return k, res
-    return ub, greedy
+def _differ(lo: int, a: int, hi: int, b: int) -> bool:
+    """The ``fits`` of a proper coloring: the two ends differ."""
+    return a != b
 
 
-def _conflict_adjacency(f: PartialMap) -> tuple[list[int], list[int]]:
-    verts = [i for i in _bits(f.def_mask)]
-    pos = {i: k for k, i in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, j in _conflict_pairs(f):
-        a, b = pos[i], pos[j]
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return verts, adj
+def _coloring(f: PartialMap) -> tuple[int, list[int]]:
+    """Chromatic number of the conflict graph and its first coloring in
+    point order, by point index (-1 off the domain of definition).
+
+    Color counts k = 0, 1, ... are tried in turn on the search kernel.
+    Step t may only use colors below min(k, t + 1): any coloring can be
+    renamed so that colors first appear in step order, so this loses none.
+    """
+    verts = list(_bits(f.def_mask))
+    edges = _conflict_pairs(f)
+    pairs = ([i for i, _ in edges], [j for _, j in edges])
+    for k in count():
+        options = [range(min(k, t + 1)) for t in range(len(verts))]
+        colors = _search(f.dom.n, pairs, verts, options, _differ, Budget(float("inf")))
+        if colors is not None:
+            return k, colors
 
 
 def basesize(f: PartialMap) -> int:
     """Least number of continuous pieces covering the domain of definition."""
-    _, adj = _conflict_adjacency(f)
-    k, _ = _exact_coloring(adj)
-    return k
+    return _coloring(f)[0]
 
 
 def basesize_partition(f: PartialMap) -> tuple[frozenset[str], ...]:
     """A witnessing partition into continuous pieces, one per color."""
-    verts, adj = _conflict_adjacency(f)
-    k, colors = _exact_coloring(adj)
-    parts = [set() for _ in range(k)]
-    for pos, i in enumerate(verts):
-        parts[colors[pos]].add(f.dom.points[i])
-    return tuple(frozenset(p) for p in parts)
+    k, colors = _coloring(f)
+    masks = [0] * k
+    for i in _bits(f.def_mask):
+        masks[colors[i]] |= 1 << i
+    return tuple(f.dom.set_of(m) for m in masks)
 
 
 def basesize_problem(P: Problem) -> LevelValue:
@@ -266,14 +230,12 @@ class InvariantReport:
 
 def invariant_report(f: PartialMap) -> InvariantReport:
     """All invariants of one map, with the cross-checks they must satisfy."""
-    ls1 = level_sets(f, 1)
-    ls2 = level_sets(f, 2)
-    lev1 = level(f, 1)
-    lev2 = level(f, 2)
+    chain1, chain2 = _level_chain(f, 1), _level_chain(f, 2)
+    ls1, ls2 = tuple(map(f.dom.set_of, chain1)), tuple(map(f.dom.set_of, chain2))
+    lev1, lev2 = _stage(chain1, -1), _stage(chain2, -1)
     pointwise = tuple(
-        (x, lev_point(f, x, 1), lev_point(f, x, 2))
-        for x in f.dom.points
-        if f.defined_at(x)
+        (f.dom.points[i], _stage(chain1, 1 << i), _stage(chain2, 1 << i))
+        for i in _bits(f.def_mask)
     )
     bas = basesize(f)
     # closing can only grow the surviving sets, and the chain is monotone

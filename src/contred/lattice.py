@@ -23,14 +23,7 @@ from itertools import product as _iproduct
 from typing import Sequence
 
 from .errors import CapacityError, ContredError, InvalidWitnessError
-from .reducibility import (
-    Budget,
-    Witness0,
-    Witness2,
-    decide,
-    verify_witness0,
-    verify_witness2,
-)
+from .reducibility import Budget, Witness0, Witness2, _replayed, decide
 from .spaces import (
     PartialMap,
     Problem,
@@ -93,14 +86,6 @@ def _family(family, tags=None) -> TaggedFamily:
             )
         return family
     return tagged(tuple(family), tags)
-
-
-def _replayed(lhs, rhs, w: Witness0 | Witness2, message: str):
-    """``w`` once it replays ``lhs`` below ``rhs``; InvalidWitnessError if not."""
-    verify = verify_witness2 if isinstance(w, Witness2) else verify_witness0
-    if not verify(lhs, rhs, w):
-        raise InvalidWitnessError(message)
-    return w
 
 
 def _lift(join, prefix: str, fam: TaggedFamily, cod: Space, name, cap: int) -> Problem:
@@ -300,7 +285,10 @@ def sup0_least_witness(
     """Member translations glued componentwise over the coproduct."""
     fam = _family(family, tags)
     w = Witness0(_glued(fam, bound, member_witnesses, f"G[sup0,{bound.name}]"))
-    return _replayed(sup0(fam), bound, w, "sup0 least witness failed to replay")
+    # only the empty family takes its codomain from the bound: a member's
+    # codomain other than the bound's is reported by the replay
+    join = sup0(fam, cod=None if len(fam) else bound.cod)
+    return _replayed(join, bound, w, "sup0 least witness failed to replay")
 
 
 # -- inf0 -----------------------------------------------------------------
@@ -400,10 +388,17 @@ def inf0_greatest_witness(
     member_witnesses: Sequence[Witness0],
     tags: Sequence[str] | None = None,
 ) -> Witness0:
-    """Tuple the member translations; agreement lands them in the subspace."""
+    """Tuple the member translations; agreement lands them in the subspace.
+
+    Below the empty family's meet, the identity out of an indiscrete copy
+    of the codomain, ``lower`` factors through its own values."""
     fam = _family(family, tags)
-    sub, projections, common = fibered_with_projections(fam)
-    vec = _tupling(sub, projections, [w.translation for w in member_witnesses])
+    if len(fam):
+        sub, projections, common = fibered_with_projections(fam)
+        vec = _tupling(sub, projections, [w.translation for w in member_witnesses])
+    else:
+        common = inf0(fam, cod=lower.cod)
+        sub, vec = common.dom, lower.vec
     w = Witness0(_vec_map(f"G[{lower.name},inf0]", lower.dom, sub, vec))
     return _replayed(lower, common, w, "inf0 greatest witness failed to replay")
 

@@ -20,7 +20,8 @@ without re-deriving it.  Searches count candidate extensions against a
 budget and raise :class:`CapacityError` when it runs out — exhaustion is
 never reported as "no".
 
-All the fast searches, and the enumeration of continuous maps, run on one
+All the fast searches, the enumeration of continuous maps and the
+coloring behind :func:`contred.invariants.basesize` run on one
 backtracking kernel; the definitional oracle engine stays apart from it
 as an independent reference.
 """
@@ -175,12 +176,15 @@ def _search(
     return assign if bt(0) else None
 
 
-def _replayed(lhs, rhs, w: Witness0 | Witness2) -> Witness0 | Witness2:
-    """``w``, once it replays against the defining equation."""
+def _replayed(
+    lhs, rhs, w: Witness0 | Witness2, message: str | None = None
+) -> Witness0 | Witness2:
+    """``w``, once it replays ``lhs`` below ``rhs``; InvalidWitnessError
+    with ``message`` (or a default naming the relation) if not."""
     verify = verify_witness2 if isinstance(w, Witness2) else verify_witness0
     if not verify(lhs, rhs, w):
         kind = "le2" if isinstance(w, Witness2) else "le0"
-        raise InvalidWitnessError(f"{kind} witness failed to replay")
+        raise InvalidWitnessError(message or f"{kind} witness failed to replay")
     return w
 
 

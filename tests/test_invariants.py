@@ -201,13 +201,15 @@ def test_conflict_graph_fixtures():
     assert conflict_graph(constant_map(C3, D2, "0")) == ()
 
 
-def test_partition_certificate_is_valid():
-    for f in (flip, alt3, blur2):
-        parts = basesize_partition(f)
-        assert len(parts) == basesize(f)
-        assert frozenset().union(*parts) == f.defined_on
-        for part in parts:
-            assert is_continuous(restrict(f, part))
+@settings(max_examples=80, deadline=None)
+@given(partial_maps_st(max_points=5))
+def test_partition_certificate_is_valid(f):
+    parts = basesize_partition(f)
+    assert len(parts) == basesize(f) == brute_force_basesize(f)
+    assert sum(map(len, parts)) == len(f.defined_on)
+    assert frozenset().union(*parts) == f.defined_on
+    for part in parts:
+        assert is_continuous(restrict(f, part))
 
 
 def _oracle_continuous_at(f, x) -> bool:
@@ -284,13 +286,17 @@ def test_problem_level_is_the_least_member_level():
 # -- the consolidated report ----------------------------------------------
 
 
-def test_invariant_report_is_internally_consistent():
-    rep = invariant_report(alt3)
-    assert rep.subject == "alt3"
-    assert rep.lev1 == level(alt3, 1) and rep.lev2 == level(alt3, 2)
-    assert rep.level_sets_1 == level_sets(alt3, 1)
-    assert rep.bas == basesize(alt3)
-    assert dict((x, (a, b)) for x, a, b in rep.pointwise) == {
-        x: (lev_point(alt3, x, 1), lev_point(alt3, x, 2)) for x in "abc"
-    }
-    assert set(rep.conflict_edges) == set(conflict_graph(alt3))
+@settings(max_examples=80, deadline=None)
+@given(partial_maps_st(max_points=5))
+def test_invariant_report_is_internally_consistent(f):
+    rep = invariant_report(f)
+    assert rep.subject == f.name
+    assert rep.level_sets_1 == level_sets(f, 1) and rep.level_sets_2 == level_sets(f, 2)
+    assert rep.lev1 == level(f, 1) and rep.lev2 == level(f, 2)
+    assert rep.pointwise == tuple(
+        (x, lev_point(f, x, 1), lev_point(f, x, 2))
+        for x in f.dom.points
+        if f.defined_at(x)
+    )
+    assert rep.bas == basesize(f)
+    assert rep.conflict_edges == conflict_graph(f)

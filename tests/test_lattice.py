@@ -273,6 +273,20 @@ def test_meet_greatest_witness_tuples_member_translations():
     assert verify_witness0(lower, m, w)
 
 
+def test_the_empty_family_has_least_and_greatest_witnesses():
+    # the empty join sits below every map into its codomain, the empty
+    # meet above every one; total and partial bounds alike
+    half = make_map("half", S2, D2, {"s1": "0"})
+    for bound in (step, half):
+        w = sup0_least_witness([], bound, [])
+        assert verify_witness0(sup0([], cod=D2), bound, w)
+        w = inf0_greatest_witness([], bound, [])
+        assert w.translation.vec == bound.vec
+        assert verify_witness0(bound, inf0([], cod=D2), w)
+    with pytest.raises(SpaceMismatchError, match="common codomain"):
+        sup0_least_witness([c0], flip, [le0_map(c0, c0)])
+
+
 def test_meet_bound_laws_against_a_pool():
     fam = tagged([step, identity_map(D2)])
     m = inf0(fam)

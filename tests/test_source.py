@@ -22,3 +22,44 @@ def test_no_module_guards_with_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _functions(tree):
+    """(dotted name, node) of every function, nested ones under their parent."""
+    todo = [("", tree)]
+    while todo:
+        prefix, node = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                todo.append((prefix + child.name + ".", child))
+            else:
+                todo.append((prefix, child))
+
+
+def _calls_itself(fn) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "self"
+                and f.attr == fn.name
+            ):
+                return True
+    return False
+
+
+def test_only_the_search_kernel_recurses():
+    # every backtracking search runs on reducibility._search, so pruning
+    # added there reaches all of them; no module keeps a loop of its own
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        if _calls_itself(fn)
+    ]
+    assert found == ["reducibility.py:_search.bt"]
