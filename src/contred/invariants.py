@@ -82,7 +82,7 @@ UNBOUNDED = LevelValue(None)
 def _discontinuity_mask(f: PartialMap, live: int) -> int:
     """Points of ``live`` at which f restricted to ``live`` is discontinuous."""
     out = 0
-    for i, _ in _breaks(f, live):
+    for i, _ in _breaks(f.vec, f.dom, f.cod, live):
         out |= 1 << i
     return out
 
@@ -160,13 +160,18 @@ def conflict_graph(f: PartialMap) -> tuple[tuple[str, str], ...]:
     do not compare the same way; a restriction of f is continuous exactly
     when its domain spans no edge.
     """
-    pts = f.dom.points
-    return tuple((pts[i], pts[j]) for i, j in _conflict_pairs(f))
+    return _named(f, _conflict_pairs(f))
 
 
 def _conflict_pairs(f: PartialMap) -> list[tuple[int, int]]:
     """The conflict graph's edges as point index pairs, lower index first."""
-    return sorted({(min(e), max(e)) for e in _breaks(f, f.def_mask)})
+    return sorted({(min(e), max(e)) for e in _breaks(f.vec, f.dom, f.cod)})
+
+
+def _named(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[tuple[str, str], ...]:
+    """Index pairs of f's domain as pairs of point names."""
+    pts = f.dom.points
+    return tuple((pts[i], pts[j]) for i, j in edges)
 
 
 def _differ(lo: int, a: int, hi: int, b: int) -> bool:
@@ -174,16 +179,16 @@ def _differ(lo: int, a: int, hi: int, b: int) -> bool:
     return a != b
 
 
-def _coloring(f: PartialMap) -> tuple[int, list[int]]:
-    """Chromatic number of the conflict graph and its first coloring in
-    point order, by point index (-1 off the domain of definition).
+def _coloring(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Chromatic number of the conflict graph ``edges`` (as
+    :func:`_conflict_pairs` gives them) and its first coloring in point
+    order, by point index (-1 off the domain of definition).
 
     Color counts k = 0, 1, ... are tried in turn on the search kernel.
     Step t may only use colors below min(k, t + 1): any coloring can be
     renamed so that colors first appear in step order, so this loses none.
     """
     verts = list(_bits(f.def_mask))
-    edges = _conflict_pairs(f)
     pairs = ([i for i, _ in edges], [j for _, j in edges])
     for k in count():
         options = [range(min(k, t + 1)) for t in range(len(verts))]
@@ -194,12 +199,12 @@ def _coloring(f: PartialMap) -> tuple[int, list[int]]:
 
 def basesize(f: PartialMap) -> int:
     """Least number of continuous pieces covering the domain of definition."""
-    return _coloring(f)[0]
+    return _coloring(f, _conflict_pairs(f))[0]
 
 
 def basesize_partition(f: PartialMap) -> tuple[frozenset[str], ...]:
     """A witnessing partition into continuous pieces, one per color."""
-    k, colors = _coloring(f)
+    k, colors = _coloring(f, _conflict_pairs(f))
     masks = [0] * k
     for i in _bits(f.def_mask):
         masks[colors[i]] |= 1 << i
@@ -237,7 +242,8 @@ def invariant_report(f: PartialMap) -> InvariantReport:
         (f.dom.points[i], _stage(chain1, 1 << i), _stage(chain2, 1 << i))
         for i in _bits(f.def_mask)
     )
-    bas = basesize(f)
+    edges = _conflict_pairs(f)
+    bas = _coloring(f, edges)[0]
     # closing can only grow the surviving sets, and the chain is monotone
     stages = max(len(ls1), len(ls2))
     for k in range(stages):
@@ -253,5 +259,5 @@ def invariant_report(f: PartialMap) -> InvariantReport:
             f"{f.name!r}: basesize {bas}, levels {lev1}, {lev2} out of order"
         )
     return InvariantReport(
-        f.name, ls1, ls2, lev1, lev2, pointwise, bas, conflict_graph(f)
+        f.name, ls1, ls2, lev1, lev2, pointwise, bas, _named(f, edges)
     )

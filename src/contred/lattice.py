@@ -110,7 +110,7 @@ def _glued(fam: TaggedFamily, bound: PartialMap, member_witnesses, label: str):
     """The member translations one after another: the coproduct of the
     members' domains lists their blocks in the same order."""
     dom = coproduct([m.dom for m in fam.items], fam.tags).space
-    vec = [v for w in member_witnesses for v in w.translation.vec]
+    vec = [v for w in member_witnesses for v in w.gvec]
     if len(vec) != dom.n:
         raise InvalidWitnessError("member witnesses do not fit the family")
     return _vec_map(label, dom, bound.dom, vec)
@@ -200,7 +200,7 @@ def sup2_least_witness(
     f_vec = [
         inj.vec[v] if v >= 0 else -1
         for w, inj in zip(member_witnesses, cop_cod.injections)
-        for v in w.postprocess.vec
+        for v in w.fvec
     ]
     g = _glued(fam, bound, member_witnesses, f"G[sup,{bound.name}]")
     prod = product_space(g.dom, bound.cod)
@@ -406,12 +406,12 @@ def inf0_greatest_witness(
 # -- distributivity -------------------------------------------------------
 
 
-def _preimages(dom: Space, live: int, translation: PartialMap, fam: TaggedFamily):
-    """Per tag, the mask of the ``live`` points whose translation lands in
-    that tag's summand; each must be clopen among the live points."""
+def _preimages(dom: Space, live: int, gv, fam: TaggedFamily):
+    """Per tag, the mask of the ``live`` points whose translation (value
+    vector ``gv``) lands in that tag's summand; each must be clopen among
+    the live points."""
     owner = [k for k, item in enumerate(fam.items) for _ in range(item.dom.n)]
     masks = [0] * len(fam)
-    gv = translation.vec
     for i in _bits(live):
         if gv[i] < 0:
             raise InvalidWitnessError(
@@ -457,7 +457,7 @@ def distribute2(
     """
     fam = _family(family, tags)
     _replayed(f, sup2(fam), witness, "witness does not reduce f to the sup")
-    masks = _preimages(f.dom, f.def_mask, witness.translation, fam)
+    masks = _preimages(f.dom, f.def_mask, witness.gvec, fam)
     parts = tagged(
         [_restrict_mask(f, m, f"{f.name}_{t}") for t, m in zip(fam.tags, masks)],
         fam.tags,
@@ -483,7 +483,7 @@ def distribute2_relation(
     members = [choice_functions(s, cap, s.name) for s in fam.items]
     Q = sup2_problem(members, fam.tags, cap=cap)
     _replayed(P, Q, witness, "witness does not reduce the choice problems")
-    masks = _preimages(rel.dom, rel.dom.mask_of(rel.targets), witness.translation, fam)
+    masks = _preimages(rel.dom, rel.dom.mask_of(rel.targets), witness.gvec, fam)
     index = rel.dom.index
     cuts = [[(x, y) for x, y in rel.pairs if m >> index[x] & 1] for m in masks]
     parts = tagged(

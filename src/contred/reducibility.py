@@ -16,9 +16,11 @@ left-hand problem.
 
 Every returned witness is replayed against the defining equation before
 it leaves this module; a successful decision can therefore be trusted
-without re-deriving it.  Searches count candidate extensions against a
-budget and raise :class:`CapacityError` when it runs out — exhaustion is
-never reported as "no".
+without re-deriving it.  A decision ends with the index vectors of G (and
+F) and the replay reads those vectors; the witness builds its maps only
+when a caller first reads them.  Searches count candidate extensions
+against a budget and raise :class:`CapacityError` when it runs out —
+exhaustion is never reported as "no".
 
 All the fast searches, the enumeration of continuous maps and the
 coloring behind :func:`contred.invariants.basesize` run on one
@@ -28,21 +30,24 @@ as an independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
+from math import inf
 
 from .errors import CapacityError, InvalidWitnessError, SpaceMismatchError
 from .spaces import (
     PartialMap,
     Problem,
     Space,
+    _breaks,
+    _once,
+    _rises_on_product,
+    _Value,
     _vec_map,
     compose,
     delta,
-    empty_map,
     identity_map,
-    is_continuous,
     pi_pair,
     pi_power,
     product,
@@ -73,23 +78,66 @@ def _as_budget(budget: int | Budget | None) -> Budget:
     return Budget(DEFAULT_BUDGET if budget is None else budget)
 
 
-@dataclass(frozen=True)
-class Witness0:
-    """Evidence for a composition reduction: the translating map."""
+class _Witness(_Value):
+    """Immutable, and equal and hashed by its maps.  A decider's witness
+    holds only the index vectors, the spaces they live on and the two
+    sides' ``names``, and builds each map on first read."""
 
-    translation: PartialMap
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._key())
+
+    @classmethod
+    def _on(cls, lhs, rhs, spaces, **vecs):
+        """The witness of index ``vecs`` on ``spaces``, for lhs below rhs."""
+        w = object.__new__(cls)
+        w.__dict__.update(spaces=spaces, names=(lhs.name, rhs.name), **vecs)
+        return w
+
+    @_once
+    def translation(self) -> PartialMap:
+        return _vec_map("G[%s,%s]" % self.names, *self.spaces[:2], self.gvec)
 
 
-@dataclass(frozen=True)
-class Witness2:
+class Witness0(_Witness):
+    """Evidence for a composition reduction: the translating map G, with
+    value vector ``gvec`` and ``spaces`` (X1, X2), its domain and codomain."""
+
+    def __init__(self, translation: PartialMap) -> None:
+        g = translation
+        self.__dict__.update(translation=g, gvec=g.vec, spaces=(g.dom, g.cod))
+
+    def _key(self) -> tuple:
+        return (self.translation,)
+
+
+class Witness2(_Witness):
     """Evidence for a one-query reduction.
 
     ``translation`` feeds the left input to the right-hand map;
     ``postprocess`` turns (input, answer) pairs into the left output.
+    ``gvec`` and ``fvec`` are their value vectors.  A decider's witness
+    for p: X1 -> Y1 below q: X2 -> Y2 has ``spaces`` (X1, X2, Y2, Y1), and
+    F's point (x, y) at index x * |Y2| + y as in :func:`product`; one built
+    from maps has ``spaces`` None.
     """
 
-    translation: PartialMap
-    postprocess: PartialMap
+    def __init__(self, translation: PartialMap, postprocess: PartialMap) -> None:
+        self.__dict__.update(translation=translation, postprocess=postprocess,
+                             gvec=translation.vec, fvec=postprocess.vec, spaces=None)
+
+    @_once
+    def postprocess(self) -> PartialMap:
+        X1, _, Y2, Y1 = self.spaces
+        return _vec_map("F[%s,%s]" % self.names, product_space(X1, Y2), Y1, self.fvec)
+
+    def _key(self) -> tuple:
+        return (self.translation, self.postprocess)
 
 
 @dataclass(frozen=True)
@@ -156,17 +204,14 @@ def _search(
     def bt(k: int) -> bool:
         if k == last:
             return leaf is None or leaf(assign)
-        i = order[k]
+        i, before = order[k], prev[k]
         for a in options[k]:
             spend()
-            ok = True
-            if a >= 0:
-                for i2, low in prev[k]:
-                    b = assign[i2]
-                    if b >= 0 and not (fits(i2, b, i, a) if low else fits(i, a, i2, b)):
-                        ok = False
-                        break
-            if ok:
+            for i2, low in before if a >= 0 else ():
+                b = assign[i2]
+                if b >= 0 and not (fits(i2, b, i, a) if low else fits(i, a, i2, b)):
+                    break
+            else:
                 assign[i] = a
                 if bt(k + 1):
                     return True
@@ -188,9 +233,14 @@ def _replayed(
     return w
 
 
-def _translation(lhs, rhs, gvec: list[int]) -> PartialMap:
-    """The translating map lhs.dom -> rhs.dom given by an index vector."""
-    return _vec_map(f"G[{lhs.name},{rhs.name}]", lhs.dom, rhs.dom, gvec)
+def _yes(lhs, rhs, gvec, fvec=None) -> Witness0 | Witness2:
+    """The replayed witness of G's index vector and, for le2, F's."""
+    if fvec is None:
+        w = Witness0._on(lhs, rhs, (lhs.dom, rhs.dom), gvec=tuple(gvec))
+    else:
+        spaces = (lhs.dom, rhs.dom, rhs.cod, lhs.cod)
+        w = Witness2._on(lhs, rhs, spaces, gvec=tuple(gvec), fvec=tuple(fvec))
+    return _replayed(lhs, rhs, w)
 
 
 def _monotone(cod: Space):
@@ -204,32 +254,27 @@ def _monotone(cod: Space):
 ENUMERATION_CAP = 200_000
 
 
-def _continuous_vectors(
-    dom: Space, cod: Space, options: list[int]
-) -> list[tuple[int, ...]]:
-    """Value vectors of the maps dom -> cod that are continuous on their
-    domain of definition, lexicographic in ``options`` order."""
-    out: list[tuple[int, ...]] = []
+def _continuous_maps(
+    tag: str, dom: Space, cod: Space, options: list[int]
+) -> tuple[PartialMap, ...]:
+    """The maps dom -> cod that are continuous on their domain of
+    definition, lexicographic in ``options`` order, the k-th named
+    ``tag[dom>cod]k``."""
+    out: list[PartialMap] = []
 
     def collect(vec: list[int]) -> bool:
-        out.append(tuple(vec))
+        out.append(_vec_map(f"{tag}[{dom.name}>{cod.name}]{len(out)}", dom, cod, vec))
         return False
 
-    unbounded = Budget(float("inf"))
-    order = range(dom.n)
-    fits = _monotone(cod)
-    _search(dom.n, dom.pairs, order, [options] * dom.n, fits, unbounded, collect)
-    return out
+    options = [options] * dom.n
+    _search(dom.n, dom.pairs, range(dom.n), options, _monotone(cod), Budget(inf), collect)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[PartialMap, ...]:
     """All continuous total maps dom -> cod, in lexicographic value order."""
-    vecs = _continuous_vectors(dom, cod, list(range(cod.n)))
-    return tuple(
-        _vec_map(f"c[{dom.name}>{cod.name}]{k}", dom, cod, vec)
-        for k, vec in enumerate(vecs)
-    )
+    return _continuous_maps("c", dom, cod, list(range(cod.n)))
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +287,7 @@ def enumerate_continuous_partial(
         raise CapacityError(
             f"{(cod.n + 1) ** dom.n} partial maps exceed the cap of {cap}"
         )
-    vecs = _continuous_vectors(dom, cod, [-1, *range(cod.n)])
-    return tuple(
-        _vec_map(f"p[{dom.name}>{cod.name}]{k}", dom, cod, vec)
-        for k, vec in enumerate(vecs)
-    )
+    return _continuous_maps("p", dom, cod, [-1, *range(cod.n)])
 
 
 # -- le0 ------------------------------------------------------------------
@@ -271,9 +312,7 @@ def le0_map(
     if not all(options):
         return None
     gvec = _search(p.dom.n, p.dom.pairs, order, options, _monotone(q.dom), b)
-    if gvec is None:
-        return None
-    return _replayed(p, q, Witness0(_translation(p, q, gvec)))
+    return None if gvec is None else _yes(p, q, gvec)
 
 
 def le0_fn(
@@ -296,7 +335,7 @@ def le0_problem(
     b = _as_budget(budget)
     X1, X2 = P.dom, Q.dom
     if not Q.members:
-        return _replayed(P, Q, Witness0(empty_map(X1, X2, f"G[{P.name},{Q.name}]")))
+        return _yes(P, Q, [-1] * X1.n)
     qvecs = [m.vec for m in Q.members]
     member_vecs = P.member_vecs
 
@@ -307,9 +346,7 @@ def le0_problem(
 
     options = [[-1, *range(X2.n)]] * X1.n
     gvec = _search(X1.n, X1.pairs, range(X1.n), options, _monotone(X2), b, leaf)
-    if gvec is None:
-        return None
-    return _replayed(P, Q, Witness0(_translation(P, Q, gvec)))
+    return None if gvec is None else _yes(P, Q, gvec)
 
 
 # -- le2: fast engine -----------------------------------------------------
@@ -339,30 +376,25 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] 
     return _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), fits, budget)
 
 
-def _witness2_from_gvec(
-    p: PartialMap, q: PartialMap, gvec: list[int]
-) -> Witness2:
-    """G from its vector, and the postprocessor the defining equation
-    forces on the reached pairs: F(x, q(G x)) = p(x)."""
-    X1, Y2 = p.dom, q.cod
-    pv, qv = p.vec, q.vec
-    fvec = [-1] * (X1.n * Y2.n)
+def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | None:
+    """The replayed witness of G's vector (None: no witness) and the
+    postprocessor the defining equation forces on the reached pairs:
+    F(x, q(G x)) = p(x)."""
+    if gvec is None:
+        return None
+    k, pv, qv = q.cod.n, p.vec, q.vec
+    fvec = [-1] * (p.dom.n * k)
     for i, j in enumerate(gvec):
         if j >= 0:
-            fvec[i * Y2.n + qv[j]] = pv[i]
-    f = _vec_map(f"F[{p.name},{q.name}]", product_space(X1, Y2), p.cod, fvec)
-    return Witness2(_translation(p, q, gvec), f)
+            fvec[i * k + qv[j]] = pv[i]
+    return _yes(p, q, gvec, fvec)
 
 
 def le2_map(
     p: PartialMap, q: PartialMap, budget: int | Budget | None = None
 ) -> Witness2 | None:
     """One-query reducibility between single partial maps."""
-    b = _as_budget(budget)
-    gvec = _le2_fast_search(p, q, b)
-    if gvec is None:
-        return None
-    return _replayed(p, q, _witness2_from_gvec(p, q, gvec))
+    return _forced(p, q, _le2_fast_search(p, q, _as_budget(budget)))
 
 
 # -- le2: oracle engine ---------------------------------------------------
@@ -445,13 +477,8 @@ def le2_fn(
     if engine not in _LE2_ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick one of {_LE2_ENGINES}")
     b = _as_budget(budget)
-    if engine == "fast":
-        gvec = _le2_fast_search(f, g, b)
-    else:
-        gvec = _le2_oracle_search(f, g, b)
-    if gvec is None:
-        return None
-    return _replayed(f, g, _witness2_from_gvec(f, g, gvec))
+    search = _le2_fast_search if engine == "fast" else _le2_oracle_search
+    return _forced(f, g, search(f, g, b))
 
 
 # -- le2 for problems -----------------------------------------------------
@@ -471,11 +498,7 @@ def le2_problem(
     X1, Y1, X2, Y2 = P.dom, P.cod, Q.dom, Q.cod
     prod = product_space(X1, Y2)
     if not Q.members:
-        w = Witness2(
-            empty_map(X1, X2, f"G[{P.name},{Q.name}]"),
-            empty_map(prod, Y1, f"F[{P.name},{Q.name}]"),
-        )
-        return _replayed(P, Q, w)
+        return _yes(P, Q, [-1] * X1.n, [-1] * prod.n)
     qvecs = [m.vec for m in Q.members]
     member_vecs = P.member_vecs
     f_options = [-1, *range(Y1.n)]
@@ -487,20 +510,12 @@ def le2_problem(
         # the postprocessor's points: the (x, answer) pairs some member
         # reaches, searched under the product order's pairs among them
         reach = sorted(
-            {
-                i * k + qv[j]
-                for qv in qvecs
-                for i, j in enumerate(g)
-                if j >= 0 and qv[j] >= 0
-            }
+            {i * k + qv[j] for qv in qvecs for i, j in enumerate(g) if j >= 0 <= qv[j]}
         )
 
         def f_leaf(f: list[int]) -> bool:
             return all(
-                tuple(
-                    f[i * k + qv[j]] if j >= 0 and qv[j] >= 0 else -1
-                    for i, j in enumerate(g)
-                )
+                tuple(f[i * k + qv[j]] if j >= 0 <= qv[j] else -1 for i, j in enumerate(g))
                 in member_vecs
                 for qv in qvecs
             )
@@ -514,10 +529,7 @@ def le2_problem(
 
     options = [[-1, *range(X2.n)]] * X1.n
     gvec = _search(X1.n, X1.pairs, range(X1.n), options, _monotone(X2), b, g_leaf)
-    if gvec is None:
-        return None
-    fmap = _vec_map(f"F[{P.name},{Q.name}]", prod, Y1, fvec_full)
-    return _replayed(P, Q, Witness2(_translation(P, Q, gvec), fmap))
+    return None if gvec is None else _yes(P, Q, gvec, fvec_full)
 
 
 # -- bounded parallel copies ---------------------------------------------
@@ -634,14 +646,12 @@ def _sends_into(lhs, rhs, composite) -> bool:
 def verify_witness0(
     lhs: PartialMap | Problem, rhs: PartialMap | Problem, w: Witness0
 ) -> bool:
-    """Replay a composition witness pointwise: q(G x) = p(x), undefined
-    exactly where p is, for a continuous G between the domains."""
-    g = w.translation
-    if g.dom != lhs.dom or g.cod != rhs.dom:
+    """Replay a composition witness pointwise on its index vector:
+    q(G x) = p(x), undefined exactly where p is, for a continuous G between
+    the domains."""
+    X1, X2, gv = lhs.dom, rhs.dom, w.gvec
+    if w.spaces != (X1, X2) or _breaks(gv, X1, X2):
         return False
-    if not is_continuous(g):
-        return False
-    gv = g.vec
 
     def composite(q: PartialMap) -> tuple[int, ...]:
         if q.cod != lhs.cod:
@@ -657,17 +667,21 @@ def verify_witness0(
 def verify_witness2(
     lhs: PartialMap | Problem, rhs: PartialMap | Problem, w: Witness2
 ) -> bool:
-    """Replay a one-query witness pointwise: F(x, q(G x)) = p(x), undefined
-    exactly where p is, for continuous G and F on the right spaces.  This
-    is the defining composite of :func:`replay2` without building it."""
-    g, f = w.translation, w.postprocess
-    if g.dom != lhs.dom or g.cod != rhs.dom:
+    """Replay a one-query witness pointwise on its index vectors:
+    F(x, q(G x)) = p(x), undefined exactly where p is, for continuous G
+    and F on the right spaces.  This is :func:`replay2`'s composite
+    without building it, nor the product X1 x Y2: F is checked along the
+    product order by arithmetic."""
+    X1, X2, Y2, Y1 = lhs.dom, rhs.dom, rhs.cod, lhs.cod
+    if w.spaces is None:
+        g, f = w.translation, w.postprocess
+        if g.dom != X1 or g.cod != X2 or f.dom != product_space(X1, Y2) or f.cod != Y1:
+            return False
+    elif w.spaces != (X1, X2, Y2, Y1):
         return False
-    if f.dom != product_space(lhs.dom, rhs.cod) or f.cod != lhs.cod:
+    gv, fv, k = w.gvec, w.fvec, Y2.n
+    if _breaks(gv, X1, X2) or not _rises_on_product(fv, X1, Y2, Y1):
         return False
-    if not is_continuous(g) or not is_continuous(f):
-        return False
-    gv, fv, k = g.vec, f.vec, rhs.cod.n
 
     def composite(q: PartialMap) -> tuple[int, ...]:
         qv = q.vec

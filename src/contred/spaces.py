@@ -422,23 +422,37 @@ def empty_map(dom: Space, cod: Space, name: str | None = None) -> PartialMap:
 # -- continuity -----------------------------------------------------------
 
 
-def _breaks(f: PartialMap, live: int) -> list[tuple[int, int]]:
+def _breaks(vec, dom: Space, cod: Space, live: int = -1) -> list[tuple[int, int]]:
     """The comparable pairs (i, j), point i below point j, of the point set
-    ``live`` where f is defined at both and f(j) is not above f(i).
+    ``live`` (default: every point) where the value vector ``vec`` of a map
+    dom -> cod is defined at both and vec[j] is not above vec[i].
 
-    Continuity on finite spaces is monotonicity, so f restricted to
+    Continuity on finite spaces is monotonicity, so the map restricted to
     ``live`` is continuous exactly when this is empty, and continuous at i
-    exactly when no pair starts at i.  It is the one place that compares
-    values along the order.
+    exactly when no pair starts at i.  It and :func:`_rises_on_product` are
+    the places that compare values along the order.
     """
-    vec, upc = f.vec, f.cod.up
-    live &= f.def_mask
-    lo, hi = f.dom.pairs
+    upc = cod.up
     return [
         (i, j)
-        for i, j in zip(lo, hi)
-        if (live >> i) & 1 and (live >> j) & 1 and not (upc[vec[i]] >> vec[j]) & 1
+        for i, j in zip(*dom.pairs)
+        if vec[i] >= 0 <= vec[j] and not (upc[vec[i]] >> vec[j]) & 1
+        and (live >> i) & 1 and (live >> j) & 1
     ]
+
+
+def _rises_on_product(vec, a: Space, b: Space, cod: Space) -> bool:
+    """Whether ``vec``, a map a x b -> cod on :func:`product`'s indices
+    ((i, y) at i * |b| + y), is monotone where defined, without building
+    the product: (i, y) is below (j, z) when i is below j and y below z."""
+    k, upa, upb, upc = b.n, a.up, b.up, cod.up
+    on = [(t // k, t % k, v) for t, v in enumerate(vec) if v >= 0]
+    for i, y, v in on:
+        ui, uy, uv = upa[i], upb[y], upc[v]
+        for j, z, w in on:
+            if (ui >> j) & 1 and (uy >> z) & 1 and not (uv >> w) & 1:
+                return False
+    return True
 
 
 def is_continuous_at(f: PartialMap, x: str) -> bool:
@@ -450,12 +464,12 @@ def is_continuous_at(f: PartialMap, x: str) -> bool:
     i = f.dom.point_index(x)
     if f.vec[i] < 0:
         raise ValueError(f"map {f.name!r} undefined at {x!r}")
-    return all(lo != i for lo, _ in _breaks(f, f.def_mask))
+    return all(lo != i for lo, _ in _breaks(f.vec, f.dom, f.cod))
 
 
 def is_continuous(f: PartialMap) -> bool:
     """Monotone on the domain of definition == continuous on the subspace."""
-    return not _breaks(f, f.def_mask)
+    return not _breaks(f.vec, f.dom, f.cod)
 
 
 # -- products and coproducts ---------------------------------------------

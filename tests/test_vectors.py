@@ -1,8 +1,11 @@
 """The index-native core: point names that contain the product and
 coproduct spellings, the pointwise witness replay against the literal
-composite, and corpus round trips on arbitrary bare tokens."""
+composite, witnesses that hold index vectors and build their maps on first
+read, and corpus round trips on arbitrary bare tokens."""
 
 from __future__ import annotations
+
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +14,19 @@ from hypothesis import strategies as st
 from contred import (
     Budget,
     CapacityError,
+    InvalidWitnessError,
     Problem,
     Witness0,
     Witness2,
     build_space,
+    chain,
     coproduct,
     corpus_from_items,
+    discrete,
     is_continuous,
     le0_map,
     le0_problem,
+    le2_fn,
     le2_map,
     le2_problem,
     make_map,
@@ -34,7 +41,9 @@ from contred import (
     verify_witness0,
     verify_witness2,
 )
+from contred import reducibility, spaces
 from contred.cli import main
+from contred.spaces import _vec_map
 
 from conftest import partial_maps_st, problems_st, spaces_st
 
@@ -227,6 +236,182 @@ def test_verify_witness0_on_problems_agrees_with_the_literal_composite(P, X2, da
         P.contains(replay0(w, m)) for m in Q.members
     )
     assert verify_witness0(P, Q, w) == literal
+
+
+# -- witnesses on index vectors ----------------------------------------------
+
+
+def _eager(lhs, rhs, w):
+    """The witness as maps built at once from its vectors, named and placed
+    as a decider names and places them."""
+    g = _vec_map(f"G[{lhs.name},{rhs.name}]", lhs.dom, rhs.dom, w.gvec)
+    if isinstance(w, Witness0):
+        return Witness0(g)
+    prod = product_space(lhs.dom, rhs.cod)
+    return Witness2(g, _vec_map(f"F[{lhs.name},{rhs.name}]", prod, lhs.cod, w.fvec))
+
+
+def _check_lazy(lhs, rhs, w):
+    # nothing is built before a caller reads a map
+    assert "translation" not in vars(w) and "postprocess" not in vars(w)
+    eager = _eager(lhs, rhs, w)
+    # maps are equal when name, domain, codomain and vector are
+    assert w.translation == eager.translation
+    if isinstance(w, Witness2):
+        assert w.postprocess == eager.postprocess
+    assert w == eager and hash(w) == hash(eager)
+    with pytest.raises(FrozenInstanceError):
+        w.gvec = ()
+    with pytest.raises(FrozenInstanceError):
+        del w.translation
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_maps_st(0, 3), partial_maps_st(0, 3), st.data())
+def test_a_le2_witness_builds_the_maps_of_its_vectors_on_first_read(p, q, data):
+    w = _found(le2_map, p, q)
+    if w is not None:
+        _check_lazy(p, q, w)
+    P, Q = problem("P", p.dom, p.cod, [p]), problem("Q", q.dom, q.cod, [q])
+    w = _found(le2_problem, P, Q)
+    if w is not None:
+        _check_lazy(P, Q, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_st(0, 3), spaces_st(0, 3), spaces_st(1, 3), st.data())
+def test_a_le0_witness_builds_the_map_of_its_vector_on_first_read(X1, X2, Y, data):
+    p = _random_map(data, "p", X1, Y)
+    q = _random_map(data, "q", X2, Y)
+    for decider, lhs, rhs in (
+        (le0_map, p, q),
+        (le0_problem, problem("P", X1, Y, [p]), problem("Q", X2, Y, [q])),
+    ):
+        w = _found(decider, lhs, rhs)
+        if w is not None:
+            _check_lazy(lhs, rhs, w)
+
+
+def _vector_mutant(data, w, lhs, rhs):
+    """A decider's witness ``w`` with up to two entries of each vector
+    changed, still a witness of vectors on the spaces it was built on."""
+
+    def mutated(vec, n, label):
+        vec = list(vec)
+        for _ in range(data.draw(st.integers(0, 2), label=f"{label} changes")):
+            if not (vec and n):
+                break
+            i = data.draw(st.integers(0, len(vec) - 1), label=f"{label} entry")
+            others = [v for v in range(-1, n) if v != vec[i]]
+            vec[i] = data.draw(st.sampled_from(others), label=f"{label} value")
+        return tuple(vec)
+
+    gvec = mutated(w.gvec, rhs.dom.n, "G")
+    if isinstance(w, Witness0):
+        return Witness0._on(lhs, rhs, w.spaces, gvec=gvec)
+    fvec = mutated(w.fvec, lhs.cod.n, "F")
+    return Witness2._on(lhs, rhs, w.spaces, gvec=gvec, fvec=fvec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_maps_st(0, 3), partial_maps_st(0, 3), st.data())
+def test_verify_witness2_on_mutated_vectors_agrees_with_the_literal_composite(p, q, data):
+    w = _found(le2_map, p, q)
+    if w is None:
+        return
+    m = _vector_mutant(data, w, p, q)
+    verdict = verify_witness2(p, q, m)
+    g, f = m.translation, m.postprocess
+    literal = is_continuous(g) and is_continuous(f) and map_equal(replay2(m, q), p)
+    assert verdict == literal
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems_st(3, 3), problems_st(3, 3), st.data())
+def test_verify_witness2_on_mutated_problem_vectors_agrees_with_the_literal_composite(
+    P, Q, data
+):
+    w = _found(le2_problem, P, Q)
+    if w is None:
+        return
+    m = _vector_mutant(data, w, P, Q)
+    verdict = verify_witness2(P, Q, m)
+    g, f = m.translation, m.postprocess
+    literal = (
+        is_continuous(g)
+        and is_continuous(f)
+        and all(P.contains(replay2(m, q)) for q in Q.members)
+    )
+    assert verdict == literal
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_st(0, 3), spaces_st(0, 3), spaces_st(1, 3), st.data())
+def test_verify_witness0_on_mutated_vectors_agrees_with_the_literal_composite(
+    X1, X2, Y, data
+):
+    p = _random_map(data, "p", X1, Y)
+    q = _random_map(data, "q", X2, Y)
+    w = _found(le0_map, p, q)
+    if w is None:
+        return
+    m = _vector_mutant(data, w, p, q)
+    verdict = verify_witness0(p, q, m)
+    assert verdict == (is_continuous(m.translation) and map_equal(replay0(m, q), p))
+
+
+C2 = chain(2)
+ID = make_map("id", C2, C2, {"a": "a", "b": "b"})
+STEP = make_map("step", C2, discrete(2), {"a": "0", "b": "1"})
+
+
+@pytest.mark.parametrize(
+    "gvec",
+    [
+        [1, 0],  # G reverses the order: not continuous
+        [0, -1],  # G undefined where p is defined: the composite misses b
+    ],
+)
+def test_a_wrong_le2_search_result_is_refused_on_the_decision_path(monkeypatch, gvec):
+    monkeypatch.setattr(reducibility, "_le2_fast_search", lambda p, q, b: list(gvec))
+    with pytest.raises(InvalidWitnessError):
+        le2_map(ID, ID)
+    with pytest.raises(InvalidWitnessError):
+        le2_fn(ID, ID)
+
+
+@pytest.mark.parametrize(
+    "gvec",
+    [
+        [1, 0],  # G reverses the order: not continuous
+        [0, 0],  # q(G b) = a, not b
+    ],
+)
+def test_a_wrong_le0_search_result_is_refused_on_the_decision_path(monkeypatch, gvec):
+    monkeypatch.setattr(reducibility, "_search", lambda *args: list(gvec))
+    with pytest.raises(InvalidWitnessError):
+        le0_map(ID, ID)
+
+
+def test_a_yes_builds_no_map_and_no_product(monkeypatch):
+    # the deciders replay their vectors; only a reader of the maps builds them
+    pairs = [(ID, ID), (STEP, STEP), (ID, STEP)]
+    wanted = [le2_map(p, q) for p, q in pairs]
+    assert all(w is not None for w in wanted)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the yes path")
+
+    for module in (spaces, reducibility):
+        for name in ("_vec_map", "product", "product_space", "is_continuous"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    found = [le2_map(p, q) for p, q in pairs]
+    found += [le2_fn(p, q, engine) for p, q in pairs for engine in ("fast", "oracle")]
+    found += [le0_map(ID, ID), le0_map(STEP, STEP)]
+    assert all(w is not None for w in found)
+    monkeypatch.undo()
+    assert [w.postprocess for w in found[:3]] == [w.postprocess for w in wanted]
+    assert all(verify_witness2(p, q, w) for (p, q), w in zip(pairs, found))
 
 
 # -- corpus round trips on arbitrary bare tokens ------------------------------
