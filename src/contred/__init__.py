@@ -50,9 +50,8 @@ from .spaces import (
     subspace,
     total_map,
 )
+from .kernel import DEFAULT_BUDGET, Budget
 from .reducibility import (
-    DEFAULT_BUDGET,
-    Budget,
     CompareResult,
     CtResult,
     Witness0,

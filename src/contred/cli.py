@@ -7,7 +7,8 @@ the wrong kind (a space, a relation, a problem where only maps are taken)
 is a usage error.  Exit codes: 0 yes/success, 1 no (for ``check``), 2
 usage or corpus errors, 3 exhausted search/capacity budgets.  Search
 budgets obey ``--budget`` first, then the ``CONTRED_BUDGET`` environment
-variable.
+variable.  Every command reads its files afresh, but a text read before in
+the same process reuses the items parsed from it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+from collections import OrderedDict
 
 from .corpus import Corpus, corpus_from_items, parse, serialize
 from .errors import CapacityError, ContredError, CorpusError
@@ -39,7 +41,29 @@ from .reducibility import CtResult, Witness0, Witness2, decide
 from .spaces import PartialMap, Problem
 
 
+# how many corpus texts the process keeps parsed, most recently read first
+PARSED_LIMIT = 16
+_parsed: OrderedDict[str, Corpus] = OrderedDict()
+
+
+def _parse_once(text: str) -> Corpus:
+    """The parsed corpus of ``text``, the same objects for the same text
+    while it stays among the last ``PARSED_LIMIT`` read, so every fact
+    derived from an item (its profile, its order pairs, its product
+    lookups) is worked out once per process.  A text that fails to parse
+    is not kept, so it fails again the same way."""
+    one = _parsed.pop(text, None)
+    if one is None:
+        one = parse(text)
+        if len(_parsed) >= PARSED_LIMIT:
+            _parsed.popitem(last=False)
+    _parsed[text] = one
+    return one
+
+
 def _load_corpus(files: list[str]) -> Corpus:
+    """The files' corpora merged into a fresh Corpus; a cached parse is
+    never changed."""
     merged = Corpus()
     for path in files:
         try:
@@ -47,7 +71,7 @@ def _load_corpus(files: list[str]) -> Corpus:
                 text = fh.read()
         except OSError as exc:
             raise CorpusError(f"cannot read {path!r}: {exc}") from exc
-        one = parse(text)
+        one = _parse_once(text)
         for kind in ("spaces", "maps", "relations", "problems"):
             pool = getattr(merged, kind)
             for name, item in getattr(one, kind).items():

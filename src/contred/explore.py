@@ -32,9 +32,9 @@ from .invariants import (
     invariant_report,
     level,
 )
+from .kernel import Budget
 from .lattice import TaggedFamily, sup0, sup2, tagged
 from .reducibility import (
-    Budget,
     decide,
     enumerate_continuous_partial,
     enumerate_continuous_total,

@@ -18,12 +18,13 @@ exactly on the backtracking kernel that the reducibility searches use.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import count
 
-from .errors import ContredError
-from .reducibility import Budget, _search
+from .errors import CapacityError, ContredError
+from .kernel import Budget, _search
 from .spaces import PartialMap, Problem, _bits, _breaks
 
 
@@ -179,20 +180,42 @@ def _differ(lo: int, a: int, hi: int, b: int) -> bool:
     return a != b
 
 
-def _coloring(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[int, list[int]]:
+def _clique_size(verts: list[int], edges: list[tuple[int, int]]) -> int:
+    """Size of a clique of the graph, grown greedily from the points with
+    the most neighbours: 0 without points, 1 without edges."""
+    adj = dict.fromkeys(verts, 0)
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    clique = size = 0
+    for v in sorted(verts, key=lambda v: -adj[v].bit_count()):
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+            size += 1
+    return size
+
+
+def _coloring(
+    f: PartialMap, edges: list[tuple[int, int]], budget: Budget | None = None
+) -> tuple[int, list[int]]:
     """Chromatic number of the conflict graph ``edges`` (as
     :func:`_conflict_pairs` gives them) and its first coloring in point
     order, by point index (-1 off the domain of definition).
 
-    Color counts k = 0, 1, ... are tried in turn on the search kernel.
+    Color counts are tried in turn on the search kernel, from the size of
+    a clique found greedily: a clique needs a color per point.
     Step t may only use colors below min(k, t + 1): any coloring can be
     renamed so that colors first appear in step order, so this loses none.
+    All the counts share ``budget`` (none by default).
     """
+    budget = Budget(float("inf")) if budget is None else budget
     verts = list(_bits(f.def_mask))
     pairs = ([i for i, _ in edges], [j for _, j in edges])
-    for k in count():
+    # no count below the chromatic number finds a coloring, so starting
+    # at a lower bound leaves the first coloring found unchanged
+    for k in count(_clique_size(verts, edges)):
         options = [range(min(k, t + 1)) for t in range(len(verts))]
-        colors = _search(f.dom.n, pairs, verts, options, _differ, Budget(float("inf")))
+        colors = _search(f.dom.n, pairs, verts, options, _differ, budget)
         if colors is not None:
             return k, colors
 
@@ -216,6 +239,51 @@ def basesize_problem(P: Problem) -> LevelValue:
     if not P.members:
         return UNBOUNDED
     return LevelValue(min(basesize(m) for m in P.members))
+
+
+# -- profile ---------------------------------------------------------------
+
+# a profile's UNBOUNDED: a plain int above every level
+_ABOVE = sys.maxsize
+
+
+def _levels(f: PartialMap) -> tuple[int, int]:
+    """``(level(f, 1), level(f, 2))`` as plain ints, UNBOUNDED read as
+    ``_ABOVE``.  Computed on the first call and kept in the map's
+    ``__dict__``, as a ``_once`` attribute is."""
+    got = f.__dict__.get("_levels")
+    if got is None:
+        got = f.__dict__["_levels"] = tuple(
+            _ABOVE if v.is_unbounded else v.value for v in (level(f, 1), level(f, 2))
+        )
+    return got
+
+
+def _basesize_within(f: PartialMap, limit: float) -> int | None:
+    """``basesize(f)``, or None when its coloring needs more than ``limit``
+    kernel nodes.  Kept in the map's ``__dict__`` once found."""
+    got = f.__dict__.get("_basesize")
+    if got is None:
+        try:
+            got = _coloring(f, _conflict_pairs(f), Budget(limit))[0]
+        except CapacityError:
+            return None
+        f.__dict__["_basesize"] = got
+    return got
+
+
+def _refuted(p: PartialMap, q: PartialMap, limit: float) -> bool:
+    """Whether p's profile (level 1, level 2, basesize) exceeds q's in a
+    coordinate.  All three are monotone along le2, and le0 lies inside
+    le2, so p is then below q under neither.  The levels take polynomial
+    time; the base sizes are compared only when both colorings fit in
+    ``limit`` nodes each."""
+    (a1, a2), (b1, b2) = _levels(p), _levels(q)
+    if a1 > b1 or a2 > b2:
+        return True
+    a = _basesize_within(p, limit)
+    b = None if a is None else _basesize_within(q, limit)
+    return b is not None and a > b
 
 
 # -- report ---------------------------------------------------------------

@@ -23,7 +23,8 @@ from itertools import product as _iproduct
 from typing import Sequence
 
 from .errors import CapacityError, ContredError, InvalidWitnessError
-from .reducibility import Budget, Witness0, Witness2, _replayed, decide
+from .kernel import Budget
+from .reducibility import Witness0, Witness2, _replayed, decide
 from .spaces import (
     PartialMap,
     Problem,

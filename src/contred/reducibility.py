@@ -22,10 +22,11 @@ when a caller first reads them.  Searches count candidate extensions
 against a budget and raise :class:`CapacityError` when it runs out —
 exhaustion is never reported as "no".
 
-All the fast searches, the enumeration of continuous maps and the
-coloring behind :func:`contred.invariants.basesize` run on one
-backtracking kernel; the definitional oracle engine stays apart from it
-as an independent reference.
+The fast searches and the enumeration of continuous maps run on the
+backtracking kernel of :mod:`contred.kernel`; the definitional oracle
+engine stays apart from it as an independent reference.  :func:`decide`
+answers a pair of maps no without a search when the characteristic
+numbers of :mod:`contred.invariants` already rule the reduction out.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from itertools import product as _iproduct
 from math import inf
 
 from .errors import CapacityError, InvalidWitnessError, SpaceMismatchError
+from .invariants import _refuted
+from .kernel import DEFAULT_BUDGET, Budget, _monotone, _search
 from .spaces import (
     PartialMap,
     Problem,
@@ -53,23 +56,6 @@ from .spaces import (
     product,
     product_space,
 )
-
-DEFAULT_BUDGET = 10_000_000
-
-
-class Budget:
-    """Mutable countdown of candidate extensions for one decision call."""
-
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int = DEFAULT_BUDGET):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise CapacityError(f"search budget exhausted ({self.limit} nodes)")
 
 
 def _as_budget(budget: int | Budget | None) -> Budget:
@@ -164,63 +150,6 @@ class CompareResult:
     backward: object | None
 
 
-# -- the backtracking kernel ----------------------------------------------
-
-
-def _search(
-    n, pairs, order, options, fits, budget: Budget, leaf=None
-) -> list[int] | None:
-    """Assign values to points 0..n-1 by backtracking over ``order``.
-
-    Step k gives point ``order[k]`` a value from ``options[k]``, tried in
-    list order, each spending one budget node; -1 leaves the point
-    undefined.  ``pairs`` is the constraint, two parallel index sequences
-    (lo, hi) of distinct points as in :attr:`Space.pairs`: whenever points
-    lo[k] and hi[k] both carry defined values a and b, ``fits(lo[k], a,
-    hi[k], b)`` must hold.  Each pair is checked at the step that assigns its later point;
-    pairs with a point off ``order`` constrain nothing.
-
-    A complete assignment is accepted when ``leaf`` is None or returns
-    True for it; the point-indexed assignment (-1 off ``order``) is then
-    returned, else None.  A leaf that records its argument and returns
-    False enumerates every solution.
-    """
-    step = [-1] * n
-    for k, i in enumerate(order):
-        step[i] = k
-    # prev[k]: (earlier point, whether it is the pair's low side)
-    prev: list[list[tuple[int, bool]]] = [[] for _ in order]
-    for lo, hi in zip(*pairs):
-        k_lo, k_hi = step[lo], step[hi]
-        if k_lo >= 0 and k_hi >= 0:
-            if k_lo < k_hi:
-                prev[k_hi].append((lo, True))
-            else:
-                prev[k_lo].append((hi, False))
-    assign = [-1] * n
-    spend = budget.spend
-    last = len(order)
-
-    def bt(k: int) -> bool:
-        if k == last:
-            return leaf is None or leaf(assign)
-        i, before = order[k], prev[k]
-        for a in options[k]:
-            spend()
-            for i2, low in before if a >= 0 else ():
-                b = assign[i2]
-                if b >= 0 and not (fits(i2, b, i, a) if low else fits(i, a, i2, b)):
-                    break
-            else:
-                assign[i] = a
-                if bt(k + 1):
-                    return True
-        assign[i] = -1
-        return False
-
-    return assign if bt(0) else None
-
-
 def _replayed(
     lhs, rhs, w: Witness0 | Witness2, message: str | None = None
 ) -> Witness0 | Witness2:
@@ -241,12 +170,6 @@ def _yes(lhs, rhs, gvec, fvec=None) -> Witness0 | Witness2:
         spaces = (lhs.dom, rhs.dom, rhs.cod, lhs.cod)
         w = Witness2._on(lhs, rhs, spaces, gvec=tuple(gvec), fvec=tuple(fvec))
     return _replayed(lhs, rhs, w)
-
-
-def _monotone(cod: Space):
-    """The ``fits`` of a continuous map into ``cod``: values rise with points."""
-    up = cod.up
-    return lambda lo, a, hi, b: (up[a] >> b) & 1
 
 
 # -- continuous maps by search -------------------------------------------
@@ -577,23 +500,34 @@ def decide(
     problems go to :func:`le0_problem` or :func:`le2_problem`.  Returns the
     witness (for ``lect`` the :class:`CtResult`) when ``a`` reduces to
     ``b``, and None when it does not.
+
+    Under ``le0`` and ``le2`` a pair of maps is first compared by its
+    characteristic numbers, once the arguments pass the decider's checks:
+    when ``a``'s profile exceeds ``b``'s in one coordinate the answer is
+    no without a search.  Each map's profile is computed once and kept on
+    the map.  The base sizes are colorings on the search kernel, each
+    allowed as many nodes as the search has left; one that runs out
+    leaves the base sizes out of the comparison.  ``lect`` and problems
+    always search.
     """
     if isinstance(a, Problem) != isinstance(b, Problem):
         raise SpaceMismatchError("cannot compare a map with a problem")
-    if relation == "le0":
-        if isinstance(a, Problem):
-            return le0_problem(a, b, budget)
-        return le0_map(a, b, budget)
-    if relation == "le2":
-        if isinstance(a, Problem):
-            return le2_problem(a, b, budget)
-        return le2_map(a, b, budget)
     if relation == "lect":
         if isinstance(a, Problem):
             raise ValueError("lect compares total maps only")
         res = le_ct(a, b, cap, budget)
         return res if res.yes else None
-    raise ValueError(f"unknown relation {relation!r}")
+    if relation not in ("le0", "le2"):
+        raise ValueError(f"unknown relation {relation!r}")
+    if isinstance(a, Problem):
+        return (le0_problem if relation == "le0" else le2_problem)(a, b, budget)
+    nodes = _as_budget(budget)
+    # a le0 pair on different codomains is left to le0_map, which raises
+    if (relation == "le2" or a.cod == b.cod) and _refuted(
+        a, b, nodes.limit - nodes.used
+    ):
+        return None
+    return (le0_map if relation == "le0" else le2_map)(a, b, nodes)
 
 
 def compare(

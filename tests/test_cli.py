@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from contred import cli, level
 from contred.cli import build_parser, main
 from contred.corpus import parse
 
@@ -328,6 +329,13 @@ def test_negative_budgets_are_usage_errors(clt, capsys, monkeypatch):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_a_no_the_profile_refutes_spends_no_budget(clt, capsys):
+    # flip's levels (2, 2) exceed konst's (1, 1): no node is spent on them
+    assert main(["check", "le2", "flip", "konst", clt, "--budget", "0"]) == 1
+    assert main(["check", "le0", "flip", "konst", clt, "--budget", "0"]) == 1
+    assert capsys.readouterr() == ("no\nno\n", "")
+
+
 # -- corpus loading --------------------------------------------------------
 
 
@@ -380,6 +388,67 @@ def test_parse_errors_surface_with_lines(tmp_path, capsys):
     bad.write_text("space S\n  points s0\n  below s0 zz\nend\n")
     assert main(["invariants", "S", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+# -- parsed corpora reused within a process --------------------------------
+
+
+def test_rewriting_a_file_between_commands_changes_the_answer(tmp_path, capsys):
+    path = tmp_path / "f.clt"
+    path.write_text(DEMO)
+    assert main(["check", "le2", "flip", "ident", str(path)]) == 1
+    path.write_text(DEMO.replace("s0 -> s1\n  s1 -> s0", "s0 -> s0\n  s1 -> s1"))
+    assert main(["check", "le2", "flip", "ident", str(path)]) == 0
+    assert capsys.readouterr().out == "no\nyes\n"
+
+
+def test_a_malformed_file_fails_the_same_way_every_time(tmp_path, capsys):
+    bad = tmp_path / "bad.clt"
+    bad.write_text(DEMO + "map broken : S -> S\n  s0 -> nowhere\nend\n")
+    errors = []
+    for _ in range(2):
+        assert main(["invariants", "flip", str(bad)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "line 38" in errors[0]
+    assert DEMO + "map broken" not in "".join(cli._parsed)
+
+
+def test_commands_over_one_text_receive_the_same_items(clt, tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "level", lambda f, v: seen.append(f) or level(f, v))
+    copy = tmp_path / "copy.clt"
+    copy.write_text(DEMO)
+    for path in (clt, clt, str(copy)):
+        assert main(["invariants", "flip", path]) == 0
+    assert len(seen) == 6 and all(f is seen[0] for f in seen)
+    assert capsys.readouterr().out == "lev1=2 lev2=2 bas=2\n" * 3
+
+
+def test_the_parsed_table_stays_within_its_bound(tmp_path, capsys):
+    for k in range(cli.PARSED_LIMIT + 3):
+        path = tmp_path / f"c{k}.clt"
+        path.write_text(DEMO + f"\nspace T{k}\n  points t\nend\n")
+        assert main(["invariants", "flip", str(path)]) == 0
+        assert len(cli._parsed) <= cli.PARSED_LIMIT
+    assert len(cli._parsed) == cli.PARSED_LIMIT
+    # the most recent texts are the ones kept
+    assert DEMO + f"\nspace T{cli.PARSED_LIMIT + 2}\n  points t\nend\n" in cli._parsed
+    assert DEMO + "\nspace T0\n  points t\nend\n" not in cli._parsed
+    capsys.readouterr()
+
+
+def test_a_merge_conflict_leaves_both_files_usable(tmp_path, capsys):
+    a = tmp_path / "a.clt"
+    b = tmp_path / "b.clt"
+    a.write_text(DEMO)
+    b.write_text(DEMO.replace("  below s0 s1\n", "", 1))
+    assert main(["check", "le2", "flip", "ident", str(a), str(b)]) == 2
+    assert "declared differently" in capsys.readouterr().err
+    assert main(["check", "le2", "flip", "ident", str(a)]) == 1
+    assert main(["check", "le2", "flip", "ident", str(b)]) == 0
+    assert main(["check", "le2", "ident", "flip", str(a)]) == 0
+    assert capsys.readouterr() == ("no\nyes\nyes\n", "")
 
 
 # -- items of the wrong kind -----------------------------------------------
@@ -456,9 +525,13 @@ def test_commands_in_one_process_share_no_options(clt, capsys):
     assert capsys.readouterr().out.startswith("yes\nspace ")
     assert main(["check", "le2", "flip", "step", clt]) == 0
     assert capsys.readouterr().out == "yes\n"
-    # 6 search nodes: "no" under the default budget, exhausted under 5
-    assert main(["check", "le2", "flip", "ident", clt]) == 1
-    assert capsys.readouterr().out == "no\n"
+    # alt3 against itself passes the profile comparison and takes 6 search
+    # nodes: exhausted under --budget 5, "yes" under the default budget
+    fixtures = str(Path(__file__).parent / "golden" / "fixtures.clt")
+    assert main(["check", "le2", "alt3", "alt3", fixtures, "--budget", "5"]) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+    assert main(["check", "le2", "alt3", "alt3", fixtures]) == 0
+    assert capsys.readouterr().out == "yes\n"
     assert main(["check", "le9", "flip", "step", clt]) == 2
     assert "invalid choice: 'le9'" in capsys.readouterr().err
     assert main(["check", "le2", "flip", "step", clt]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from contred import (
     invariant_report,
     is_continuous,
     is_continuous_at,
+    le0_map,
     le2_map,
     lev_point,
     level,
@@ -38,6 +40,7 @@ from contred import (
     sup2_problem,
     total_map,
 )
+from contred.invariants import _refuted
 
 from conftest import (
     brute_force_basesize,
@@ -170,14 +173,32 @@ def test_closure_variant_dominates_stagewise(f):
         assert ls1[k] <= stage2
 
 
-@settings(max_examples=40, deadline=None)
-@given(total_maps_st(max_points=3), total_maps_st(max_points=3))
-def test_invariants_are_monotone_along_positive_reductions(f, g):
-    if le2_map(f, g) is None:
+@st.composite
+def map_pairs_st(draw, max_points: int = 3):
+    """Two maps, each total or partial; in half the draws the second one
+    shares the first one's codomain."""
+    f = draw(st.one_of(total_maps_st(max_points=max_points), partial_maps_st(max_points=max_points)))
+    dom = draw(spaces_st(0, max_points))
+    cod = f.cod if draw(st.booleans()) else draw(spaces_st(1, max_points))
+    make = draw(st.sampled_from((random_map, random_partial_map)))
+    return f, make(dom, cod, seed=draw(seeds))
+
+
+@settings(max_examples=80, deadline=None)
+@given(map_pairs_st())
+def test_invariants_are_monotone_along_positive_reductions(fg):
+    # decide answers no by exactly these laws, so the deciders are called
+    # here directly; le0 lies inside le2, so a le0 yes must obey them too
+    f, g = fg
+    reduces = le2_map(f, g) is not None
+    if f.cod == g.cod and le0_map(f, g) is not None:
+        assert reduces
+    if not reduces:
         return
     assert level(f, 1) <= level(g, 1)
     assert level(f, 2) <= level(g, 2)
     assert basesize(f) <= basesize(g)
+    assert not _refuted(f, g, inf)
 
 
 @settings(max_examples=30, deadline=None)

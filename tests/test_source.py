@@ -54,12 +54,12 @@ def _calls_itself(fn) -> bool:
 
 
 def test_only_the_search_kernel_recurses():
-    # every backtracking search runs on reducibility._search, so pruning
-    # added there reaches all of them; no module keeps a loop of its own
+    # every backtracking search runs on kernel._search, so pruning added
+    # there reaches all of them; no module keeps a loop of its own
     found = [
         f"{path.name}:{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
         if _calls_itself(fn)
     ]
-    assert found == ["reducibility.py:_search.bt"]
+    assert found == ["kernel.py:_search.bt"]
