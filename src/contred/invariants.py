@@ -261,12 +261,16 @@ def _levels(f: PartialMap) -> tuple[int, int]:
 
 def _basesize_within(f: PartialMap, limit: float) -> int | None:
     """``basesize(f)``, or None when its coloring needs more than ``limit``
-    kernel nodes.  Kept in the map's ``__dict__`` once found."""
+    kernel nodes.  Kept in the map's ``__dict__`` once found; so is the
+    largest ``limit`` that ran out, and no limit up to it is tried again."""
     got = f.__dict__.get("_basesize")
     if got is None:
+        if limit <= f.__dict__.get("_basesize_short", -1):
+            return None
         try:
             got = _coloring(f, _conflict_pairs(f), Budget(limit))[0]
         except CapacityError:
+            f.__dict__["_basesize_short"] = limit
             return None
         f.__dict__["_basesize"] = got
     return got

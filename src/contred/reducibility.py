@@ -26,7 +26,10 @@ The fast searches and the enumeration of continuous maps run on the
 backtracking kernel of :mod:`contred.kernel`; the definitional oracle
 engine stays apart from it as an independent reference.  :func:`decide`
 answers a pair of maps no without a search when the characteristic
-numbers of :mod:`contred.invariants` already rule the reduction out.
+numbers of :mod:`contred.invariants` already rule the reduction out, and
+keeps each answer on its left item: a repeated decision returns it and
+spends again the nodes it took, so a budget bounds it as it bounds a new
+search.
 """
 
 from __future__ import annotations
@@ -509,23 +512,53 @@ def decide(
     allowed as many nodes as the search has left; one that runs out
     leaves the base sizes out of the comparison.  ``lect`` and problems
     always search.
+
+    Each answer is kept in ``a``'s ``__dict__``, keyed by ``(relation,
+    cap, b)``, with the number of nodes it took from its budget, and dies
+    with ``a``.  A repeated call returns the same object and spends those
+    nodes again, so it raises :class:`CapacityError` exactly when a new
+    decision would; a kept no that the profile now refutes spends none,
+    as a new decision would.  An exception is never kept.
     """
+    nodes = _as_budget(budget)
+    key = (relation, cap, b)
+    got = a.__dict__.get("_decided", {}).get(key)
+    if got is None:
+        used = nodes.used
+        found = _decide(a, b, relation, nodes, cap)
+        a.__dict__.setdefault("_decided", {})[key] = found, nodes.used - used
+        return found
+    found, spent = got
+    if spent and not (found is None and _refutes(a, b, relation, nodes)):
+        nodes.spend(spent)
+    return found
+
+
+def _refutes(a, b, relation: str, nodes: Budget) -> bool:
+    """Whether ``a`` and ``b`` are maps whose profiles answer ``relation``
+    no; a le0 pair on different codomains is left to le0_map, which
+    raises."""
+    return (
+        not isinstance(a, Problem)
+        and (relation == "le2" or relation == "le0" and a.cod == b.cod)
+        and _refuted(a, b, nodes.limit - nodes.used)
+    )
+
+
+def _decide(a, b, relation: str, nodes: Budget, cap: int):
+    """:func:`decide` without the kept answers."""
     if isinstance(a, Problem) != isinstance(b, Problem):
         raise SpaceMismatchError("cannot compare a map with a problem")
     if relation == "lect":
         if isinstance(a, Problem):
             raise ValueError("lect compares total maps only")
-        res = le_ct(a, b, cap, budget)
+        res = le_ct(a, b, cap, nodes)
         return res if res.yes else None
     if relation not in ("le0", "le2"):
         raise ValueError(f"unknown relation {relation!r}")
     if isinstance(a, Problem):
-        return (le0_problem if relation == "le0" else le2_problem)(a, b, budget)
-    nodes = _as_budget(budget)
-    # a le0 pair on different codomains is left to le0_map, which raises
-    if (relation == "le2" or a.cod == b.cod) and _refuted(
-        a, b, nodes.limit - nodes.used
-    ):
+        return (le0_problem if relation == "le0" else le2_problem)(a, b, nodes)
+    if _refutes(a, b, relation, nodes):
         return None
     return (le0_map if relation == "le0" else le2_map)(a, b, nodes)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from contred import cli, level
+from contred import cli, level, reducibility
 from contred.cli import build_parser, main
 from contred.corpus import parse
 
@@ -536,6 +536,31 @@ def test_commands_in_one_process_share_no_options(clt, capsys):
     assert "invalid choice: 'le9'" in capsys.readouterr().err
     assert main(["check", "le2", "flip", "step", clt]) == 0
     assert capsys.readouterr().out == "yes\n"
+
+
+def test_a_kept_yes_still_runs_out_under_a_small_budget(capsys):
+    # the other order in one process: the yes that alt3 against itself
+    # found under the default budget is charged its 6 nodes again
+    fixtures = str(Path(__file__).parent / "golden" / "fixtures.clt")
+    assert main(["check", "le2", "alt3", "alt3", fixtures]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    assert main(["check", "le2", "alt3", "alt3", fixtures, "--budget", "5"]) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_a_repeated_poset_prints_the_same_bytes_without_searching(
+    clt, capsys, monkeypatch
+):
+    args = ["poset", "le2", "bottom", "flip", "ident", "konst", clt]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("searched a decided pair")
+
+    monkeypatch.setattr(reducibility, "_le2_fast_search", refuse)
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_help_exits_zero(capsys):

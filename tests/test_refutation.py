@@ -36,7 +36,7 @@ from contred import (
     sierpinski,
     singleton_problem,
 )
-from contred import reducibility
+from contred import invariants, reducibility
 from contred.explore import injective_indiscrete_map
 from contred.invariants import _ABOVE, _basesize_within, _levels, _refuted
 from contred.reducibility import _le2_fast_search, _le2_oracle_search
@@ -81,6 +81,31 @@ def test_a_small_budget_leaves_the_base_size_out():
     assert "_basesize" not in f.__dict__
     assert decide(f, f, "le2") is not None
     assert f.__dict__["_basesize"] == 12
+
+
+def test_a_coloring_that_ran_out_is_not_tried_again(monkeypatch):
+    # blur12's coloring needs 78 nodes: under a budget of 5 the first
+    # decision gives it up, and no later one with at most 5 nodes left
+    # tries it again
+    f = injective_indiscrete_map(12)
+    partners = [injective_indiscrete_map(k) for k in (11, 10)]
+    real, colored = invariants._coloring, []
+
+    def counted(g, edges, budget=None):
+        try:
+            return real(g, edges, budget)
+        finally:
+            colored.append((g, budget.used))
+
+    monkeypatch.setattr(invariants, "_coloring", counted)
+    for k, partner in enumerate(partners):
+        with pytest.raises(CapacityError):
+            decide(f, partner, "le2", budget=5)
+        assert colored == [(f, 6)], k
+    assert f.__dict__["_basesize_short"] == 5
+    assert decide(f, partners[0], "le2") is None
+    assert f.__dict__["_basesize"] == 12
+    assert colored[1:] == [(f, 78), (partners[0], 66)]
 
 
 def _total_pool():
