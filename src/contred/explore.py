@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -46,6 +45,7 @@ from .spaces import (
     Problem,
     Space,
     _bits,
+    _kept,
     _restrict_mask,
     _vec_map,
     build_space,
@@ -250,7 +250,6 @@ def decompose_by_level(
 # -- admissibility --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _full_continuous_sup(dom: Space, cod: Space) -> PartialMap:
     fam = enumerate_continuous_partial(dom, cod)
     return sup0(fam, cod=cod, name=f"allcont[{dom.name}>{cod.name}]")
@@ -263,7 +262,7 @@ def admissible(f: PartialMap, budget: int | Budget | None = None) -> bool:
     Equivalent formulation: f bounds, and is bounded by, that join in
     the composition order.
     """
-    full = _full_continuous_sup(f.dom, f.cod)
+    full = _kept(f.dom, ("allcont", f.cod), lambda: _full_continuous_sup(f.dom, f.cod))
     if le0_map(f, full, budget) is None:
         return False
     return le0_map(full, f, budget) is not None

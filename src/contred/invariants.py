@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from itertools import count
 
-from .errors import CapacityError, ContredError
+from .errors import ContredError
 from .kernel import Budget, _search
 from .spaces import PartialMap, Problem, _bits, _breaks
 
@@ -195,9 +195,7 @@ def _clique_size(verts: list[int], edges: list[tuple[int, int]]) -> int:
     return size
 
 
-def _coloring(
-    f: PartialMap, edges: list[tuple[int, int]], budget: Budget | None = None
-) -> tuple[int, list[int]]:
+def _coloring(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[int, list[int]]:
     """Chromatic number of the conflict graph ``edges`` (as
     :func:`_conflict_pairs` gives them) and its first coloring in point
     order, by point index (-1 off the domain of definition).
@@ -206,9 +204,8 @@ def _coloring(
     a clique found greedily: a clique needs a color per point.
     Step t may only use colors below min(k, t + 1): any coloring can be
     renamed so that colors first appear in step order, so this loses none.
-    All the counts share ``budget`` (none by default).
     """
-    budget = Budget(float("inf")) if budget is None else budget
+    budget = Budget(float("inf"))
     verts = list(_bits(f.def_mask))
     pairs = ([i for i, _ in edges], [j for _, j in edges])
     # no count below the chromatic number finds a coloring, so starting
@@ -259,35 +256,14 @@ def _levels(f: PartialMap) -> tuple[int, int]:
     return got
 
 
-def _basesize_within(f: PartialMap, limit: float) -> int | None:
-    """``basesize(f)``, or None when its coloring needs more than ``limit``
-    kernel nodes.  Kept in the map's ``__dict__`` once found; so is the
-    largest ``limit`` that ran out, and no limit up to it is tried again."""
-    got = f.__dict__.get("_basesize")
-    if got is None:
-        if limit <= f.__dict__.get("_basesize_short", -1):
-            return None
-        try:
-            got = _coloring(f, _conflict_pairs(f), Budget(limit))[0]
-        except CapacityError:
-            f.__dict__["_basesize_short"] = limit
-            return None
-        f.__dict__["_basesize"] = got
-    return got
-
-
-def _refuted(p: PartialMap, q: PartialMap, limit: float) -> bool:
-    """Whether p's profile (level 1, level 2, basesize) exceeds q's in a
-    coordinate.  All three are monotone along le2, and le0 lies inside
-    le2, so p is then below q under neither.  The levels take polynomial
-    time; the base sizes are compared only when both colorings fit in
-    ``limit`` nodes each."""
+def _refuted(p: PartialMap, q: PartialMap) -> bool:
+    """Whether p's levels exceed q's in a variant.  Both are monotone along
+    le2, and le0 lies inside le2, so p is then below q under neither.
+    The base size is monotone too, but when p maps into at most two points
+    it is ``min(level 1, 2)`` there and at least that on q, so it refutes
+    no pair the levels leave; it would cost a colouring."""
     (a1, a2), (b1, b2) = _levels(p), _levels(q)
-    if a1 > b1 or a2 > b2:
-        return True
-    a = _basesize_within(p, limit)
-    b = None if a is None else _basesize_within(q, limit)
-    return b is not None and a > b
+    return a1 > b1 or a2 > b2
 
 
 # -- report ---------------------------------------------------------------

@@ -24,18 +24,17 @@ exhaustion is never reported as "no".
 
 The fast searches and the enumeration of continuous maps run on the
 backtracking kernel of :mod:`contred.kernel`; the definitional oracle
-engine stays apart from it as an independent reference.  :func:`decide`
-answers a pair of maps no without a search when the characteristic
-numbers of :mod:`contred.invariants` already rule the reduction out, and
-keeps each answer on its left item: a repeated decision returns it and
-spends again the nodes it took, so a budget bounds it as it bounds a new
-search.
+engine stays apart from it as an independent reference.  Each
+enumeration is kept on its domain space and dies with it.  :func:`decide`
+answers a pair of maps no without a search when their levels (see
+:mod:`contred.invariants`) already rule the reduction out, and keeps
+each answer on its left item: a repeated decision returns it and spends
+again the nodes it took, so a budget bounds it as it bounds a new search.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
 from itertools import product as _iproduct
 from math import inf
 
@@ -47,6 +46,7 @@ from .spaces import (
     Problem,
     Space,
     _breaks,
+    _kept,
     _once,
     _rises_on_product,
     _Value,
@@ -197,13 +197,11 @@ def _continuous_maps(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[PartialMap, ...]:
     """All continuous total maps dom -> cod, in lexicographic value order."""
-    return _continuous_maps("c", dom, cod, list(range(cod.n)))
+    return _kept(dom, ("c", cod), lambda: _continuous_maps("c", dom, cod, [*range(cod.n)]))
 
 
-@lru_cache(maxsize=None)
 def enumerate_continuous_partial(
     dom: Space, cod: Space, cap: int = ENUMERATION_CAP
 ) -> tuple[PartialMap, ...]:
@@ -213,7 +211,8 @@ def enumerate_continuous_partial(
         raise CapacityError(
             f"{(cod.n + 1) ** dom.n} partial maps exceed the cap of {cap}"
         )
-    return _continuous_maps("p", dom, cod, [-1, *range(cod.n)])
+    options = [-1, *range(cod.n)]
+    return _kept(dom, ("p", cod), lambda: _continuous_maps("p", dom, cod, options))
 
 
 # -- le0 ------------------------------------------------------------------
@@ -326,7 +325,6 @@ def le2_map(
 # -- le2: oracle engine ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _open_continuous_totals(dom: Space, cod: Space) -> tuple[tuple[int, ...], ...]:
     """All total maps dom -> cod whose open preimages are open, lex order.
 
@@ -359,7 +357,7 @@ def _le2_oracle_search(
     up1 = X1.up
     upY2 = Y2.up
     opens1 = Y1.opens
-    for gvec in _open_continuous_totals(X1, g.dom):
+    for gvec in _kept(X1, ("open", g.dom), lambda: _open_continuous_totals(X1, g.dom)):
         budget.spend()
         h = [gv[j] for j in gvec]
         pairs = [
@@ -505,23 +503,21 @@ def decide(
     ``b``, and None when it does not.
 
     Under ``le0`` and ``le2`` a pair of maps is first compared by its
-    characteristic numbers, once the arguments pass the decider's checks:
-    when ``a``'s profile exceeds ``b``'s in one coordinate the answer is
-    no without a search.  Each map's profile is computed once and kept on
-    the map.  The base sizes are colorings on the search kernel, each
-    allowed as many nodes as the search has left; one that runs out
-    leaves the base sizes out of the comparison.  ``lect`` and problems
-    always search.
+    levels, once the arguments pass the decider's checks: when ``a``'s
+    level 1 or level 2 exceeds ``b``'s the answer is no without a search.
+    The levels take polynomial time and spend no node, and each map's are
+    computed once and kept on the map.  ``lect`` and problems always
+    search.
 
     Each answer is kept in ``a``'s ``__dict__``, keyed by ``(relation,
-    cap, b)``, with the number of nodes it took from its budget, and dies
-    with ``a``.  A repeated call returns the same object and spends those
-    nodes again, so it raises :class:`CapacityError` exactly when a new
-    decision would; a kept no that the profile now refutes spends none,
-    as a new decision would.  An exception is never kept.
+    cap, b)`` for ``lect`` and ``(relation, None, b)`` otherwise, with the
+    number of nodes it took from its budget, and dies with ``a``.  A
+    repeated call returns the same object and spends those nodes again,
+    so it raises :class:`CapacityError` exactly when a new decision would.
+    An exception is never kept.
     """
     nodes = _as_budget(budget)
-    key = (relation, cap, b)
+    key = (relation, cap if relation == "lect" else None, b)
     got = a.__dict__.get("_decided", {}).get(key)
     if got is None:
         used = nodes.used
@@ -529,20 +525,9 @@ def decide(
         a.__dict__.setdefault("_decided", {})[key] = found, nodes.used - used
         return found
     found, spent = got
-    if spent and not (found is None and _refutes(a, b, relation, nodes)):
+    if spent:
         nodes.spend(spent)
     return found
-
-
-def _refutes(a, b, relation: str, nodes: Budget) -> bool:
-    """Whether ``a`` and ``b`` are maps whose profiles answer ``relation``
-    no; a le0 pair on different codomains is left to le0_map, which
-    raises."""
-    return (
-        not isinstance(a, Problem)
-        and (relation == "le2" or relation == "le0" and a.cod == b.cod)
-        and _refuted(a, b, nodes.limit - nodes.used)
-    )
 
 
 def _decide(a, b, relation: str, nodes: Budget, cap: int):
@@ -558,7 +543,8 @@ def _decide(a, b, relation: str, nodes: Budget, cap: int):
         raise ValueError(f"unknown relation {relation!r}")
     if isinstance(a, Problem):
         return (le0_problem if relation == "le0" else le2_problem)(a, b, nodes)
-    if _refutes(a, b, relation, nodes):
+    # a le0 pair on different codomains is left to le0_map, which raises
+    if (relation == "le2" or a.cod == b.cod) and _refuted(a, b):
         return None
     return (le0_map if relation == "le0" else le2_map)(a, b, nodes)
 

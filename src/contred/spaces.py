@@ -18,7 +18,6 @@ build a new space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,6 +49,17 @@ class _once:
             return self
         value = obj.__dict__[self.fn.__name__] = self.fn(obj)
         return value
+
+
+def _kept(space: Space, key: tuple, build):
+    """``build()``, worked out on the first call with ``key`` and kept in
+    ``space``'s ``__dict__``, so that it dies with ``space``: what is
+    derived from spaces is cached on the first of them, never globally."""
+    kept = space.__dict__.setdefault("_kept", {})
+    got = kept.get(key)
+    if got is None:
+        got = kept[key] = build()
+    return got
 
 
 class _Value:
@@ -518,27 +528,6 @@ class CoproductResult:
         }
 
 
-@lru_cache(maxsize=None)
-def _product_cached(spaces: tuple[Space, ...]) -> ProductResult:
-    name = "prod(" + ",".join(s.name for s in spaces) + ")"
-    combos = list(_iproduct(*(range(s.n) for s in spaces)))
-    pts = _tuple_names(
-        [[s.points[i] for s, i in zip(spaces, c)] for c in combos],
-        lambda parts: "(" + ",".join(parts) + ")",
-    )
-    # add one factor at a time: (a, i) is below (a', i') exactly when a is
-    # below a' and i below i', and (a', i') sits at index a' * n + i'
-    up = [1]
-    for s in spaces:
-        up = [sum(u << (a * s.n) for a in _bits(m)) for m in up for u in s.up]
-    space = Space(name, pts, tuple(up))
-    projections = tuple(
-        _vec_map(f"pr{t}_{name}", space, s, [c[t] for c in combos])
-        for t, s in enumerate(spaces)
-    )
-    return ProductResult(space, projections)
-
-
 def product(spaces: Sequence[Space]) -> ProductResult:
     """Topological product with componentwise below; empty products are rejected.
 
@@ -546,40 +535,37 @@ def product(spaces: Sequence[Space]) -> ProductResult:
     (...(i_1 * n_2 + i_2) * n_3 + ...) * n_k + i_k, the first factor
     varying slowest; for two factors, (i, j) is at i * n_2 + j.  Points are
     named "(x,y)", or from escaped coordinate names ("(a\\,b,c)") when
-    that spelling would give two points one name.
+    that spelling would give two points one name.  Kept on the first factor.
     """
     spaces = tuple(spaces)
     if not spaces:
         raise ValueError("empty product has no canonical point set; refusing")
-    return _product_cached(spaces)
+
+    def build() -> ProductResult:
+        name = "prod(" + ",".join(s.name for s in spaces) + ")"
+        combos = list(_iproduct(*(range(s.n) for s in spaces)))
+        pts = _tuple_names(
+            [[s.points[i] for s, i in zip(spaces, c)] for c in combos],
+            lambda parts: "(" + ",".join(parts) + ")",
+        )
+        # add one factor at a time: (a, i) is below (a', i') exactly when a
+        # is below a' and i below i', and (a', i') sits at index a' * n + i'
+        up = [1]
+        for s in spaces:
+            up = [sum(u << (a * s.n) for a in _bits(m)) for m in up for u in s.up]
+        space = Space(name, pts, tuple(up))
+        projections = tuple(
+            _vec_map(f"pr{t}_{name}", space, s, [c[t] for c in combos])
+            for t, s in enumerate(spaces)
+        )
+        return ProductResult(space, projections)
+
+    return _kept(spaces[0], ("product", spaces[1:]), build)
 
 
 def product_space(a: Space, b: Space) -> Space:
     """Binary product space only; the common case in witness plumbing."""
     return product((a, b)).space
-
-
-@lru_cache(maxsize=None)
-def _coproduct_cached(
-    spaces: tuple[Space, ...], tags: tuple[str, ...]
-) -> CoproductResult:
-    name = "coprod(" + ",".join(f"{t}.{s.name}" for t, s in zip(tags, spaces)) + ")"
-    pts = _tuple_names(
-        [(tag, p) for tag, s in zip(tags, spaces) for p in s.points],
-        lambda parts: f"{parts[0]}.{parts[1]}",
-    )
-    up: list[int] = []
-    blocks = []
-    for s in spaces:
-        off = len(up)
-        blocks.append(range(off, off + s.n))
-        up.extend(m << off for m in s.up)
-    space = Space(name, pts, tuple(up))
-    injections = tuple(
-        _vec_map(f"in{tag}_{name}", s, space, block)
-        for tag, s, block in zip(tags, spaces, blocks)
-    )
-    return CoproductResult(space, injections, tags)
 
 
 def coproduct(
@@ -590,6 +576,7 @@ def coproduct(
     The summands' points follow one another in family order, so summand k
     starts at the total size of the summands before it.  As for products,
     names are escaped when "tag.point" would give two points one name.
+    Kept on the first summand; the empty coproduct is built anew.
     """
     spaces = tuple(spaces)
     if tags is None:
@@ -600,7 +587,27 @@ def coproduct(
         raise ValueError("one tag per space required")
     if len(set(tags)) != len(tags):
         raise ValueError("coproduct tags must be unique")
-    return _coproduct_cached(spaces, tags)
+
+    def build() -> CoproductResult:
+        name = "coprod(" + ",".join(f"{t}.{s.name}" for t, s in zip(tags, spaces)) + ")"
+        pts = _tuple_names(
+            [(tag, p) for tag, s in zip(tags, spaces) for p in s.points],
+            lambda parts: f"{parts[0]}.{parts[1]}",
+        )
+        up: list[int] = []
+        blocks = []
+        for s in spaces:
+            off = len(up)
+            blocks.append(range(off, off + s.n))
+            up.extend(m << off for m in s.up)
+        space = Space(name, pts, tuple(up))
+        injections = tuple(
+            _vec_map(f"in{tag}_{name}", s, space, block)
+            for tag, s, block in zip(tags, spaces, blocks)
+        )
+        return CoproductResult(space, injections, tags)
+
+    return _kept(spaces[0], ("coproduct", spaces[1:], tags), build) if spaces else build()
 
 
 def subspace(space: Space, subset: Iterable[str], name: str | None = None) -> Space:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -198,7 +197,7 @@ def test_invariants_are_monotone_along_positive_reductions(fg):
     assert level(f, 1) <= level(g, 1)
     assert level(f, 2) <= level(g, 2)
     assert basesize(f) <= basesize(g)
-    assert not _refuted(f, g, inf)
+    assert not _refuted(f, g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,19 +1,20 @@
-"""Refutation by the characteristic numbers inside ``decide``.
+"""Refutation by the levels inside ``decide``.
 
-A map's profile is (level 1, level 2, basesize).  All three are monotone
-along le2, and le0 lies inside le2, so ``decide`` answers no without a
-search when the left profile exceeds the right one in a coordinate.  That
-no yes of the deciders goes against the profile is checked with the other
-monotonicity laws in tests/test_invariants.py; these tests check how
-``decide`` uses the profile, and the search's own no path against the
-oracle engine.
+A map's profile is (level 1, level 2).  Both are monotone along le2, and
+le0 lies inside le2, so ``decide`` answers no without a search when the
+left profile exceeds the right one in a coordinate.  The base size is
+monotone too but is left out: on a map into at most two points it equals
+``min(level 1, 2)`` (pinned here), so it refutes nothing the levels leave
+there, and it would cost a colouring.  That no yes of the deciders goes
+against the invariants is checked with the other monotonicity laws in
+tests/test_invariants.py; these tests check how ``decide`` uses the
+profile, and the search's own no path against the oracle engine.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import inf
 
 import pytest
 
@@ -31,6 +32,8 @@ from contred import (
     level,
     level_problem,
     make_map,
+    random_map,
+    random_partial_map,
     random_problem,
     random_space,
     sierpinski,
@@ -38,10 +41,10 @@ from contred import (
 )
 from contred import invariants, reducibility
 from contred.explore import injective_indiscrete_map
-from contred.invariants import _ABOVE, _basesize_within, _levels, _refuted
+from contred.invariants import _ABOVE, _levels, _refuted
 from contred.reducibility import _le2_fast_search, _le2_oracle_search
 
-from conftest import all_spaces_up_to, all_total_maps
+from conftest import all_partial_maps, all_spaces_up_to, all_total_maps
 
 S = sierpinski()
 D2 = discrete(2)
@@ -55,57 +58,55 @@ def test_profile_is_the_invariants_as_plain_ints():
     for f in (FLIP, IDENT, STEP, CONST):
         lev = [level(f, v) for v in (1, 2)]
         assert _levels(f) == tuple(_ABOVE if x == UNBOUNDED else x.value for x in lev)
-        assert _basesize_within(f, inf) == basesize(f)
-        assert all(type(x) is int for x in (*_levels(f), _basesize_within(f, inf)))
-    assert (*_levels(FLIP), _basesize_within(FLIP, inf)) == (2, 2, 2)
-    assert (*_levels(CONST), _basesize_within(CONST, inf)) == (1, 1, 1)
+        assert all(type(x) is int for x in _levels(f))
+    assert _levels(FLIP) == (2, 2)
+    assert _levels(CONST) == (1, 1)
 
 
 def test_profile_is_computed_once_per_map():
     f = make_map("fresh", S, S, {"s0": "s1", "s1": "s0"})
-    assert "_levels" not in f.__dict__ and "_basesize" not in f.__dict__
+    assert "_levels" not in f.__dict__
     first = _levels(f)
     assert f.__dict__["_levels"] is first
     assert _levels(f) is first
-    assert _basesize_within(f, inf) == f.__dict__["_basesize"] == 2
 
 
-def test_a_small_budget_leaves_the_base_size_out():
-    # the coloring behind blur12's base size takes 78 kernel nodes: under
-    # a budget of 5 decide gives it up, and the search runs out as well
-    f = injective_indiscrete_map(12)
-    assert _basesize_within(f, 5) is None
-    assert not _refuted(f, f, 5)
+def test_into_two_points_the_base_size_is_read_off_level_1():
+    # a fibre of a map is a piece on which it is constant, so continuous:
+    # into at most two points, the base size is min(level 1, 2)
+    doms, cods = all_spaces_up_to(3), all_spaces_up_to(2)
+    maps = 0
+    for X, Y in itertools.product(doms, cods):
+        for f in all_partial_maps(X, Y):
+            assert basesize(f) == min(level(f, 1), 2), f
+            maps += 1
+    assert maps == sum((Y.n + 1) ** X.n for X, Y in itertools.product(doms, cods))
+
+
+def test_decide_never_colors(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("colored inside decide")
+
+    monkeypatch.setattr(invariants, "_coloring", refuse)
+    rng = random.Random(3)
+    pool = []
+    for s in range(24):
+        dom = random_space(rng.randint(1, 3), rng.choice((0.0, 0.4, 0.8)), s)
+        cod = rng.choice((D2, chain(2), S))
+        make = random_partial_map if rng.random() < 0.25 else random_map
+        pool.append(make(dom, cod, s, name=f"c{s}"))
+    answers = [
+        decide(p, q, relation) is None
+        for p, q in itertools.product(pool, repeat=2)
+        for relation in ("le2", "le0")
+        if relation == "le2" or p.cod == q.cod
+    ]
+    assert 0 < sum(answers) < len(answers)
+    # blur12 against itself: the search alone spends the budget
+    f, nodes = injective_indiscrete_map(12), Budget(5)
     with pytest.raises(CapacityError):
-        decide(f, f, "le2", budget=5)
-    assert "_basesize" not in f.__dict__
-    assert decide(f, f, "le2") is not None
-    assert f.__dict__["_basesize"] == 12
-
-
-def test_a_coloring_that_ran_out_is_not_tried_again(monkeypatch):
-    # blur12's coloring needs 78 nodes: under a budget of 5 the first
-    # decision gives it up, and no later one with at most 5 nodes left
-    # tries it again
-    f = injective_indiscrete_map(12)
-    partners = [injective_indiscrete_map(k) for k in (11, 10)]
-    real, colored = invariants._coloring, []
-
-    def counted(g, edges, budget=None):
-        try:
-            return real(g, edges, budget)
-        finally:
-            colored.append((g, budget.used))
-
-    monkeypatch.setattr(invariants, "_coloring", counted)
-    for k, partner in enumerate(partners):
-        with pytest.raises(CapacityError):
-            decide(f, partner, "le2", budget=5)
-        assert colored == [(f, 6)], k
-    assert f.__dict__["_basesize_short"] == 5
-    assert decide(f, partners[0], "le2") is None
-    assert f.__dict__["_basesize"] == 12
-    assert colored[1:] == [(f, 78), (partners[0], 66)]
+        decide(f, f, "le2", nodes)
+    assert nodes.used <= 6
 
 
 def _total_pool():
@@ -118,7 +119,7 @@ def test_the_fast_search_says_no_on_every_refuted_pair_as_the_oracle_does():
     # refutation skips the search inside decide; called directly, the
     # search must still reach each of these no's on its own
     pool = _total_pool()
-    refuted = [(p, q) for p in pool for q in pool if _refuted(p, q, inf)]
+    refuted = [(p, q) for p in pool for q in pool if _refuted(p, q)]
     assert len(refuted) == 938
     for p, q in refuted:
         assert _le2_fast_search(p, q, Budget()) is None, (p, q)
@@ -131,13 +132,13 @@ def test_decide_refutes_without_searching(monkeypatch):
 
     monkeypatch.setattr(reducibility, "_le2_fast_search", refuse)
     monkeypatch.setattr(reducibility, "_search", refuse)
-    assert _refuted(FLIP, IDENT, inf)
+    assert _refuted(FLIP, IDENT)
     assert decide(FLIP, IDENT, "le2") is None
     assert decide(FLIP, IDENT, "le0") is None
 
 
 def test_le0_on_different_codomains_still_raises_when_refuted():
-    assert _refuted(FLIP, CONST, inf)
+    assert _refuted(FLIP, CONST)
     with pytest.raises(SpaceMismatchError):
         decide(FLIP, CONST, "le0")
     with pytest.raises(SpaceMismatchError):

@@ -63,3 +63,27 @@ def test_only_the_search_kernel_recurses():
         if _calls_itself(fn)
     ]
     assert found == ["kernel.py:_search.bt"]
+
+
+def _cached(fn) -> bool:
+    """Whether ``fn`` carries ``functools.cache`` or ``lru_cache``, called
+    or not."""
+    names = set()
+    for d in fn.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        names.add(d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
+    return bool(names & {"cache", "lru_cache"})
+
+
+def test_no_function_with_parameters_is_cached_globally():
+    # a global cache keyed by arguments keeps its entries for good; what is
+    # derived from a space is kept on the space and dies with it
+    cached = {
+        f"{path.name}:{name}": any(ast.iter_child_nodes(fn.args))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        if _cached(fn)
+    }
+    # the rule sees the one cache the package keeps, which takes no parameters
+    assert cached.get("cli.py:build_parser") is False
+    assert [name for name, takes in cached.items() if takes] == []
