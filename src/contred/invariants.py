@@ -175,11 +175,6 @@ def _named(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[tuple[str, str]
     return tuple((pts[i], pts[j]) for i, j in edges)
 
 
-def _differ(lo: int, a: int, hi: int, b: int) -> bool:
-    """The ``fits`` of a proper coloring: the two ends differ."""
-    return a != b
-
-
 def _clique_size(verts: list[int], edges: list[tuple[int, int]]) -> int:
     """Size of a clique of the graph, grown greedily from the points with
     the most neighbours: 0 without points, 1 without edges."""
@@ -204,6 +199,7 @@ def _coloring(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[int, list[in
     a clique found greedily: a clique needs a color per point.
     Step t may only use colors below min(k, t + 1): any coloring can be
     renamed so that colors first appear in step order, so this loses none.
+    The two ends of an edge differ: color c allows every color but c.
     """
     budget = Budget(float("inf"))
     verts = list(_bits(f.def_mask))
@@ -212,7 +208,8 @@ def _coloring(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[int, list[in
     # at a lower bound leaves the first coloring found unchanged
     for k in count(_clique_size(verts, edges)):
         options = [range(min(k, t + 1)) for t in range(len(verts))]
-        colors = _search(f.dom.n, pairs, verts, options, _differ, budget)
+        others = tuple(~(1 << c) for c in range(k))
+        colors = _search(f.dom.n, pairs, verts, options, lambda *_: others, budget)
         if colors is not None:
             return k, colors
 

@@ -6,6 +6,14 @@ coloring behind :func:`contred.invariants.basesize`.  The definitional
 oracle engine stays apart from it as an independent reference.  This
 module imports only the package's errors, so both
 :mod:`contred.reducibility` and :mod:`contred.invariants` build on it.
+
+A caller states its constraint as value bitmask tables, not as a
+predicate: for a pair of points, ``masks`` gives a sequence indexed by
+the earlier point's value whose entry is the bitmask of values allowed
+at the later point.  A step ANDs the entries of its assigned neighbours
+once, and each of its candidates is then one bit test.  Every candidate
+tried spends one budget node, so the count of nodes is the count of
+candidates tried, whatever the tables.
 """
 
 from __future__ import annotations
@@ -31,17 +39,27 @@ class Budget:
 
 
 def _search(
-    n, pairs, order, options, fits, budget: Budget, leaf=None
+    n, pairs, order, options, masks, budget: Budget, leaf=None
 ) -> list[int] | None:
     """Assign values to points 0..n-1 by backtracking over ``order``.
 
     Step k gives point ``order[k]`` a value from ``options[k]``, tried in
-    list order, each spending one budget node; -1 leaves the point
-    undefined.  ``pairs`` is the constraint, two parallel index sequences
-    (lo, hi) of distinct points as in :attr:`Space.pairs`: whenever points
-    lo[k] and hi[k] both carry defined values a and b, ``fits(lo[k], a,
-    hi[k], b)`` must hold.  Each pair is checked at the step that assigns its later point;
-    pairs with a point off ``order`` constrain nothing.
+    list order; -1 leaves the point undefined.  ``pairs`` is the
+    constraint, two parallel index sequences (lo, hi) of distinct points
+    as in :attr:`Space.pairs`; pairs with a point off ``order`` constrain
+    nothing.  For a pair whose earlier point in ``order`` is i2 and later
+    point is i, ``masks(i2, i, low)`` (``low``: whether i2 is the pair's
+    lo) returns a sequence indexed by i2's value b: its entry is the
+    bitmask of the values allowed at i while i2 holds b.  An undefined
+    earlier point allows everything.
+
+    Node accounting: every candidate tried, -1 included, spends one node
+    of ``budget``, in ``options`` order, before it is tested; -1 passes
+    untested.  The count is kept in a local and written back to
+    ``budget.used`` on every exit and around every ``leaf`` call, so a
+    leaf may run a search of its own on the same budget.  Passing
+    ``budget.limit`` raises :class:`CapacityError` with ``budget.used``
+    one past the limit.
 
     A complete assignment is accepted when ``leaf`` is None or returns
     True for it; the point-indexed assignment (-1 off ``order``) is then
@@ -51,40 +69,60 @@ def _search(
     step = [-1] * n
     for k, i in enumerate(order):
         step[i] = k
-    # prev[k]: (earlier point, whether it is the pair's low side)
-    prev: list[list[tuple[int, bool]]] = [[] for _ in order]
+    # prev[k]: (earlier point, its table) for each pair that step k closes
+    prev: list[list[tuple[int, object]]] = [[] for _ in order]
     for lo, hi in zip(*pairs):
         k_lo, k_hi = step[lo], step[hi]
         if k_lo >= 0 and k_hi >= 0:
             if k_lo < k_hi:
-                prev[k_hi].append((lo, True))
+                prev[k_hi].append((lo, masks(lo, hi, True)))
             else:
-                prev[k_lo].append((hi, False))
+                prev[k_lo].append((hi, masks(hi, lo, False)))
     assign = [-1] * n
-    spend = budget.spend
     last = len(order)
-
-    def bt(k: int) -> bool:
+    # per step: the values its neighbours allow, and its options left
+    allowed = [-1] * last
+    left: list = [None] * last
+    used, limit = budget.used, budget.limit
+    k = 0
+    while True:
         if k == last:
-            return leaf is None or leaf(assign)
-        i, before = order[k], prev[k]
-        for a in options[k]:
-            spend()
-            for i2, low in before if a >= 0 else ():
+            budget.used = used
+            if leaf is None or leaf(assign):
+                return assign
+            used = budget.used
+            k -= 1
+        else:
+            m = -1
+            for i2, table in prev[k]:
                 b = assign[i2]
-                if b >= 0 and not (fits(i2, b, i, a) if low else fits(i, a, i2, b)):
+                if b >= 0:
+                    m &= table[b]
+            allowed[k] = m
+            left[k] = iter(options[k])
+        # the next candidate of step k, backing up past exhausted steps
+        while k >= 0:
+            m = allowed[k]
+            for a in left[k]:
+                used += 1
+                if used > limit:
+                    budget.used = used
+                    raise CapacityError(f"search budget exhausted ({limit} nodes)")
+                if a < 0 or (m >> a) & 1:
+                    assign[order[k]] = a
                     break
             else:
-                assign[i] = a
-                if bt(k + 1):
-                    return True
-        assign[i] = -1
-        return False
-
-    return assign if bt(0) else None
+                assign[order[k]] = -1
+                k -= 1
+                continue
+            break
+        else:
+            budget.used = used
+            return None
+        k += 1
 
 
 def _monotone(cod):
-    """The ``fits`` of a continuous map into ``cod``: values rise with points."""
-    up = cod.up
-    return lambda lo, a, hi, b: (up[a] >> b) & 1
+    """The ``masks`` of a continuous map into ``cod``: values rise with points."""
+    up, down = cod.up, cod.down
+    return lambda i2, i, low: up if low else down

@@ -277,6 +277,26 @@ def le0_problem(
 # -- le2: fast engine -----------------------------------------------------
 
 
+def _le2_tables(q: PartialMap) -> tuple[int, ...]:
+    """The masked :func:`_search` tables of a translation into ``q``'s
+    domain, one flat tuple of 2·n ints for n = |dom q|: entry a is
+    ``up[a]`` less the points whose answer lies above ``q``'s answer at
+    a, entry n + b is ``down[b]`` less those whose answer lies below b's.
+    Computed on the first call and kept in ``q``'s ``__dict__``, as a
+    ``_once`` attribute is."""
+    got = q.__dict__.get("_le2_tables")
+    if got is None:
+        n, upQ, qv = q.dom.n, q.cod.up, q.vec
+        ups, downs = list(q.dom.up), list(q.dom.down)
+        for a in range(n):
+            for b in range(n):
+                if qv[a] >= 0 <= qv[b] and (upQ[qv[a]] >> qv[b]) & 1:
+                    ups[a] &= ~(1 << b)
+                    downs[b] &= ~(1 << a)
+        got = q.__dict__["_le2_tables"] = (*ups, *downs)
+    return got
+
+
 def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] | None:
     """Search a continuous G on def(p) passing the forced-postprocessor test.
 
@@ -284,21 +304,26 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] 
     equation, and its continuity there is equivalent to the pairwise
     condition checked during assignment: whenever x <= x' and the queried
     answers satisfy q(G x) <= q(G x'), the targets must satisfy
-    p(x) <= p(x').
+    p(x) <= p(x').  So a pair of points whose targets compare reads the
+    plain tables of a monotone G, and any other pair the tables of
+    :func:`_le2_tables`, which also forbid answers that compare.
     """
     pv, qv = p.vec, q.vec
     order = [i for i in range(p.dom.n) if pv[i] >= 0]
     cands = [j for j in range(q.dom.n) if qv[j] >= 0]
     if order and not cands:
         return None
-    upc, upP, upQ = q.dom.up, p.cod.up, q.cod.up
+    upP, n2 = p.cod.up, q.dom.n
+    up, down = q.dom.up, q.dom.down
 
-    def fits(lo: int, a: int, hi: int, b: int) -> bool:
-        if not (upc[a] >> b) & 1:
-            return False
-        return not (upQ[qv[a]] >> qv[b]) & 1 or (upP[pv[lo]] >> pv[hi]) & 1
+    def masks(i2: int, i: int, low: bool):
+        lo, hi = (i2, i) if low else (i, i2)
+        if (upP[pv[lo]] >> pv[hi]) & 1:
+            return up if low else down
+        tables = _le2_tables(q)
+        return tables[:n2] if low else tables[n2:]
 
-    return _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), fits, budget)
+    return _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), masks, budget)
 
 
 def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | None:
@@ -357,15 +382,16 @@ def _le2_oracle_search(
     up1 = X1.up
     upY2 = Y2.up
     opens1 = Y1.opens
+    comparable = [
+        (i, i2)
+        for i in range(X1.n)
+        for i2 in range(X1.n)
+        if i != i2 and (up1[i] >> i2) & 1
+    ]
     for gvec in _kept(X1, ("open", g.dom), lambda: _open_continuous_totals(X1, g.dom)):
         budget.spend()
         h = [gv[j] for j in gvec]
-        pairs = [
-            (i, i2)
-            for i in range(X1.n)
-            for i2 in range(X1.n)
-            if i != i2 and (up1[i] >> i2) & 1 and (upY2[h[i]] >> h[i2]) & 1
-        ]
+        pairs = [(i, i2) for i, i2 in comparable if (upY2[h[i]] >> h[i2]) & 1]
         ok = True
         for u in opens1:
             for i, i2 in pairs:

@@ -20,6 +20,7 @@ from contred import (
     discrete,
     empty_map,
     indiscrete,
+    injective_indiscrete_map,
     invariant_report,
     is_continuous,
     is_continuous_at,
@@ -106,6 +107,13 @@ def test_two_valued_map_on_indiscrete_pair_never_stabilizes_empty():
     assert level_sets(blur2, 1) == (frozenset({"0", "1"}),)
     assert level(blur2, 1) is UNBOUNDED and level(blur2, 2) is UNBOUNDED
     assert basesize(blur2) == 2
+
+
+def test_injective_map_on_an_indiscrete_space_needs_a_piece_per_point():
+    # twelve colors: the coloring's tables must not stop at a fixed count
+    blur12 = injective_indiscrete_map(12)
+    assert basesize(blur12) == 12
+    assert sorted(map(len, basesize_partition(blur12))) == [1] * 12
 
 
 def test_empty_domain_map_has_level_zero():

@@ -224,8 +224,22 @@ def _kernel_solutions(n, pairs, order, options, fits):
         found.append(tuple(vec))
         return False
 
+    # the predicate as the kernel's tables: entry b of masks(i2, i, low) has
+    # bit a set when value a at i fits value b at the earlier point i2
+    values = range(1 + max((a for opts in options for a in opts), default=0))
+
+    def masks(i2, i, low):
+        return [
+            sum(
+                1 << a
+                for a in values
+                if (fits(i2, b, i, a) if low else fits(i, a, i2, b))
+            )
+            for b in values
+        ]
+
     lo, hi = tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
-    _search(n, (lo, hi), order, options, fits, Budget(), collect)
+    _search(n, (lo, hi), order, options, masks, Budget(), collect)
     return found
 
 

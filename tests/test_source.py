@@ -53,16 +53,17 @@ def _calls_itself(fn) -> bool:
     return False
 
 
-def test_only_the_search_kernel_recurses():
-    # every backtracking search runs on kernel._search, so pruning added
-    # there reaches all of them; no module keeps a loop of its own
+def test_no_function_recurses():
+    # every backtracking search runs on kernel._search, which keeps its
+    # steps on a stack of its own, so pruning added there reaches all of
+    # them; no module keeps a recursive search beside it
     found = [
         f"{path.name}:{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
         if _calls_itself(fn)
     ]
-    assert found == ["kernel.py:_search.bt"]
+    assert found == []
 
 
 def _cached(fn) -> bool:
