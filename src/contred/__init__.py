@@ -26,6 +26,7 @@ from .spaces import (
     chain,
     choice_functions,
     compose,
+    conflict_structure,
     constant_map,
     coproduct,
     delta,

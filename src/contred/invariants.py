@@ -25,7 +25,7 @@ from itertools import count
 
 from .errors import ContredError
 from .kernel import Budget, _search
-from .spaces import PartialMap, Problem, _bits, _breaks
+from .spaces import PartialMap, Problem, _bits, conflict_structure
 
 
 @total_ordering
@@ -83,8 +83,9 @@ UNBOUNDED = LevelValue(None)
 def _discontinuity_mask(f: PartialMap, live: int) -> int:
     """Points of ``live`` at which f restricted to ``live`` is discontinuous."""
     out = 0
-    for i, _ in _breaks(f.vec, f.dom, f.cod, live):
-        out |= 1 << i
+    for i, j in conflict_structure(f)[1]:
+        if (live >> i) & 1 and (live >> j) & 1:
+            out |= 1 << i
     return out
 
 
@@ -166,7 +167,7 @@ def conflict_graph(f: PartialMap) -> tuple[tuple[str, str], ...]:
 
 def _conflict_pairs(f: PartialMap) -> list[tuple[int, int]]:
     """The conflict graph's edges as point index pairs, lower index first."""
-    return sorted({(min(e), max(e)) for e in _breaks(f.vec, f.dom, f.cod)})
+    return sorted({(min(e), max(e)) for e in conflict_structure(f)[1]})
 
 
 def _named(f: PartialMap, edges: list[tuple[int, int]]) -> tuple[tuple[str, str], ...]:

@@ -25,11 +25,14 @@ exhaustion is never reported as "no".
 The fast searches and the enumeration of continuous maps run on the
 backtracking kernel of :mod:`contred.kernel`; the definitional oracle
 engine stays apart from it as an independent reference.  Each
-enumeration is kept on its domain space and dies with it.  :func:`decide`
-answers a pair of maps no without a search when their levels (see
-:mod:`contred.invariants`) already rule the reduction out, and keeps
-each answer on its left item: a repeated decision returns it and spends
-again the nodes it took, so a budget bounds it as it bounds a new search.
+enumeration is kept on its domain space and dies with it, and so is each
+answer of the fast le2 search, keyed by the conflict structures of its
+two maps, all it reads of them; a yes from a kept answer is still
+replayed in full.  :func:`decide` answers a pair of maps no without a
+search when their levels (see :mod:`contred.invariants`) already rule
+the reduction out, and keeps each answer on its left item: a repeated
+decision returns it and spends again the nodes it took, so a budget
+bounds it as it bounds a new search.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .spaces import (
     _Value,
     _vec_map,
     compose,
+    conflict_structure,
     delta,
     identity_map,
     pi_pair,
@@ -279,51 +283,69 @@ def le0_problem(
 
 def _le2_tables(q: PartialMap) -> tuple[int, ...]:
     """The masked :func:`_search` tables of a translation into ``q``'s
-    domain, one flat tuple of 2·n ints for n = |dom q|: entry a is
-    ``up[a]`` less the points whose answer lies above ``q``'s answer at
-    a, entry n + b is ``down[b]`` less those whose answer lies below b's.
-    Computed on the first call and kept in ``q``'s ``__dict__``, as a
-    ``_once`` attribute is."""
+    domain, read off its :func:`conflict_structure`: one flat tuple of 2·n
+    ints for n = |dom q|, entry a the bitmask of the b with (a, b) a
+    conflict pair of ``q``, entry n + b that of the a.  Computed on the
+    first call and kept in ``q``'s ``__dict__``, as a ``_once`` attribute
+    is."""
     got = q.__dict__.get("_le2_tables")
     if got is None:
-        n, upQ, qv = q.dom.n, q.cod.up, q.vec
-        ups, downs = list(q.dom.up), list(q.dom.down)
-        for a in range(n):
-            for b in range(n):
-                if qv[a] >= 0 <= qv[b] and (upQ[qv[a]] >> qv[b]) & 1:
-                    ups[a] &= ~(1 << b)
-                    downs[b] &= ~(1 << a)
-        got = q.__dict__["_le2_tables"] = (*ups, *downs)
+        n = q.dom.n
+        tables = [0] * (2 * n)
+        for a, b in conflict_structure(q)[1]:
+            tables[a] |= 1 << b
+            tables[n + b] |= 1 << a
+        got = q.__dict__["_le2_tables"] = tuple(tables)
     return got
 
 
-def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> list[int] | None:
+def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> tuple[int, ...] | None:
     """Search a continuous G on def(p) passing the forced-postprocessor test.
 
     The postprocessor is determined on reachable pairs by the defining
     equation, and its continuity there is equivalent to the pairwise
     condition checked during assignment: whenever x <= x' and the queried
     answers satisfy q(G x) <= q(G x'), the targets must satisfy
-    p(x) <= p(x').  So a pair of points whose targets compare reads the
-    plain tables of a monotone G, and any other pair the tables of
-    :func:`_le2_tables`, which also forbid answers that compare.
+    p(x) <= p(x').  So a pair of points that is no conflict pair of ``p``
+    reads the plain tables of a monotone G, and a conflict pair the tables
+    of :func:`_le2_tables`, which allow only conflict pairs of ``q``.
+
+    The search therefore reads nothing of ``p`` and ``q`` but their
+    domains and their :func:`conflict_structure`, and its result is kept as
+    a record: G's index vector (None: no G) with the nodes the search
+    spent, keyed by the pair of structures in a dict kept on ``p``'s
+    domain for ``q``'s (``spaces._kept(p.dom, ("le2", q.dom), …)``), so
+    that it dies with the space.  A record is used only when the budget
+    has its nodes left, and then spends them again, so a hit returns what
+    a new search would return and leaves ``budget.used`` where it would
+    leave it.  Otherwise the search runs anew and raises
+    :class:`CapacityError` as it always does, with ``budget.used`` one
+    past the limit; an exhausted search keeps no record.
     """
-    pv, qv = p.vec, q.vec
-    order = [i for i in range(p.dom.n) if pv[i] >= 0]
-    cands = [j for j in range(q.dom.n) if qv[j] >= 0]
-    if order and not cands:
-        return None
-    upP, n2 = p.cod.up, q.dom.n
+    records = _kept(p.dom, ("le2", q.dom), dict)
+    key = (conflict_structure(p), conflict_structure(q))
+    got = records.get(key)
+    if got is not None and budget.used + got[1] <= budget.limit:
+        budget.used += got[1]
+        return got[0]
+    (def_p, pairs_p), (def_q, _) = key
+    order = [i for i in range(p.dom.n) if (def_p >> i) & 1]
+    cands = [j for j in range(q.dom.n) if (def_q >> j) & 1]
+    conflicts, n2 = set(pairs_p), q.dom.n
     up, down = q.dom.up, q.dom.down
 
     def masks(i2: int, i: int, low: bool):
-        lo, hi = (i2, i) if low else (i, i2)
-        if (upP[pv[lo]] >> pv[hi]) & 1:
+        if ((i2, i) if low else (i, i2)) not in conflicts:
             return up if low else down
         tables = _le2_tables(q)
         return tables[:n2] if low else tables[n2:]
 
-    return _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), masks, budget)
+    start = budget.used
+    gvec = _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), masks, budget)
+    if gvec is not None:
+        gvec = tuple(gvec)
+    records[key] = gvec, budget.used - start
+    return gvec
 
 
 def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | None:
@@ -343,7 +365,16 @@ def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | 
 def le2_map(
     p: PartialMap, q: PartialMap, budget: int | Budget | None = None
 ) -> Witness2 | None:
-    """One-query reducibility between single partial maps."""
+    """One-query reducibility between single partial maps.
+
+    The translation G comes from :func:`_le2_fast_search`, which keeps a
+    record of its answer for each pair of conflict structures on ``p``'s
+    domain: a pair of maps whose structures were searched before spends
+    the record's nodes again instead of searching.  Every yes builds the
+    postprocessor that G forces and replays the witness in full, from a
+    record or not; a record's G that fails to replay raises
+    :class:`InvalidWitnessError`.
+    """
     return _forced(p, q, _le2_fast_search(p, q, _as_budget(budget)))
 
 

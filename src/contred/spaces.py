@@ -432,23 +432,38 @@ def empty_map(dom: Space, cod: Space, name: str | None = None) -> PartialMap:
 # -- continuity -----------------------------------------------------------
 
 
-def _breaks(vec, dom: Space, cod: Space, live: int = -1) -> list[tuple[int, int]]:
-    """The comparable pairs (i, j), point i below point j, of the point set
-    ``live`` (default: every point) where the value vector ``vec`` of a map
+def _breaks(vec, dom: Space, cod: Space) -> list[tuple[int, int]]:
+    """The comparable pairs (i, j), point i below point j, in
+    :attr:`Space.pairs` order, where the value vector ``vec`` of a map
     dom -> cod is defined at both and vec[j] is not above vec[i].
 
-    Continuity on finite spaces is monotonicity, so the map restricted to
-    ``live`` is continuous exactly when this is empty, and continuous at i
-    exactly when no pair starts at i.  It and :func:`_rises_on_product` are
-    the places that compare values along the order.
+    Continuity on finite spaces is monotonicity, so the map is continuous
+    exactly when this is empty, and continuous at i exactly when no pair
+    starts at i.  It and :func:`_rises_on_product` are the places that
+    compare values along the order.
     """
     upc = cod.up
     return [
         (i, j)
         for i, j in zip(*dom.pairs)
         if vec[i] >= 0 <= vec[j] and not (upc[vec[i]] >> vec[j]) & 1
-        and (live >> i) & 1 and (live >> j) & 1
     ]
+
+
+def conflict_structure(p: PartialMap) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The conflict structure of ``p`` on its domain's order: ``(def_mask,
+    pairs)``, its defined points and its conflict pairs, the comparable
+    pairs whose values fail to compare, as :func:`_breaks` lists them.
+
+    Worked out on the first call and kept in ``p``'s ``__dict__``.  It is
+    all that the fast ``le2`` search reads of a map besides its domain, so
+    that search keys its records by it; the conflict graph and the level
+    rounds of :mod:`contred.invariants` read it too.
+    """
+    got = p.__dict__.get("_conflicts")
+    if got is None:
+        got = p.__dict__["_conflicts"] = (p.def_mask, tuple(_breaks(p.vec, p.dom, p.cod)))
+    return got
 
 
 def _rises_on_product(vec, a: Space, b: Space, cod: Space) -> bool:
@@ -474,12 +489,12 @@ def is_continuous_at(f: PartialMap, x: str) -> bool:
     i = f.dom.point_index(x)
     if f.vec[i] < 0:
         raise ValueError(f"map {f.name!r} undefined at {x!r}")
-    return all(lo != i for lo, _ in _breaks(f.vec, f.dom, f.cod))
+    return all(lo != i for lo, _ in conflict_structure(f)[1])
 
 
 def is_continuous(f: PartialMap) -> bool:
     """Monotone on the domain of definition == continuous on the subspace."""
-    return not _breaks(f.vec, f.dom, f.cod)
+    return not conflict_structure(f)[1]
 
 
 # -- products and coproducts ---------------------------------------------

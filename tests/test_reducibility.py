@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import random
+import weakref
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +15,16 @@ from hypothesis import strategies as st
 from contred import (
     Budget,
     CapacityError,
+    InvalidWitnessError,
     SpaceMismatchError,
     chain,
     choice_functions,
     compare,
     compose_witness0,
     compose_witness2,
+    conflict_structure,
     constant_map,
+    decide,
     discrete,
     empty_map,
     identity_map,
@@ -30,12 +37,15 @@ from contred import (
     le2_map,
     le2_problem,
     le_ct,
+    make_map,
     map_equal,
     pi_pair,
     problem,
     random_continuous_map,
     random_map,
+    random_partial_map,
     random_problem,
+    random_space,
     relation,
     replay0,
     replay2,
@@ -49,7 +59,8 @@ from contred import (
     witness0_to_witness2,
 )
 
-from contred.reducibility import _search
+from contred import reducibility
+from contred.reducibility import _le2_fast_search, _search
 
 from conftest import partial_maps_st, problems_st, seeds, spaces_st, total_maps_st
 
@@ -516,3 +527,185 @@ def test_budget_object_is_shared_across_calls():
     b = Budget(10**6)
     assert le2_fn(flip, step, budget=b) is not None
     assert b.used > 0
+
+
+# -- the records of the fast le2 search -----------------------------------
+
+
+def _le2_pool(seed):
+    """Total and partial maps on 1-4 points whose conflict structures
+    repeat: few domains, and many maps on each."""
+    rng = random.Random(f"le2 records:{seed}")
+    doms = [random_space(n, rng.random(), rng.randrange(10**6)) for n in (1, 2, 3, 4)]
+    cods = [S2, D2, I2, C3]
+    return [
+        (random_map if t % 2 else random_partial_map)(
+            rng.choice(doms), rng.choice(cods), seed=rng.randrange(10**6)
+        )
+        for t in range(18)
+    ]
+
+
+def _records(p, q):
+    """The records of the fast le2 search kept on p's domain for q's."""
+    return p.dom.__dict__.get("_kept", {}).get(("le2", q.dom), {})
+
+
+def _key(p, q):
+    return conflict_structure(p), conflict_structure(q)
+
+
+def _new_walk(p, q, budget):
+    """A new kernel walk for ``le2_map(p, q)`` on tables built from the
+    two maps' values: it reads and writes no record."""
+    pv, qv, upP, upQ = p.vec, q.vec, p.cod.up, q.cod.up
+    n2, up, down = q.dom.n, q.dom.up, q.dom.down
+
+    def clash(a, b):
+        return qv[a] >= 0 <= qv[b] and not (upQ[qv[a]] >> qv[b]) & 1
+
+    above = [sum(1 << b for b in range(n2) if (up[a] >> b) & 1 and clash(a, b))
+             for a in range(n2)]
+    below = [sum(1 << a for a in range(n2) if (down[b] >> a) & 1 and clash(a, b))
+             for b in range(n2)]
+
+    def masks(i2, i, low):
+        lo, hi = (i2, i) if low else (i, i2)
+        if (upP[pv[lo]] >> pv[hi]) & 1:
+            return up if low else down
+        return above if low else below
+
+    order = [i for i in range(p.dom.n) if pv[i] >= 0]
+    cands = [j for j in range(n2) if qv[j] >= 0]
+    found = _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), masks, budget)
+    return None if found is None else tuple(found)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_searches_equal_new_walks(seed):
+    # the search reads only the two conflict structures, so a record
+    # written by one pair of maps answers every pair with the same ones
+    pool = _le2_pool(seed)
+    hits = misses = 0
+    for p, q in itertools.product(pool, repeat=2):
+        kept = _key(p, q) in _records(p, q)
+        hits, misses = hits + kept, misses + (not kept)
+        for start in (0, 7):
+            new, old = Budget(10**6), Budget(10**6)
+            new.used = old.used = start
+            assert _le2_fast_search(p, q, old) == _new_walk(p, q, new), (p, q)
+            assert old.used == new.used
+    assert hits > 0 and misses > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_smaller_budget_runs_out_with_or_without_a_record(seed):
+    pool = _le2_pool(seed)
+    searched = 0
+    for p, q in itertools.product(pool, repeat=2):
+        walk = Budget(inf)
+        _new_walk(p, q, walk)
+        nodes = walk.used
+        searched += nodes > 0
+        _records(p, q).pop(_key(p, q), None)
+        for recorded in (False, True):
+            for start in (0, 3):
+                for limit in range(start, start + nodes):
+                    b = Budget(limit)
+                    b.used = start
+                    with pytest.raises(CapacityError):
+                        _le2_fast_search(p, q, b)
+                    assert b.used == limit + 1
+                    # an exhausted search neither keeps nor drops a record
+                    assert (_key(p, q) in _records(p, q)) == recorded
+            b = Budget(nodes)
+            _le2_fast_search(p, q, b)
+            assert b.used == nodes
+            assert _records(p, q)[_key(p, q)][1] == nodes
+    assert searched > 0
+
+
+def test_every_yes_replays_from_a_record_or_not(monkeypatch):
+    pool = _le2_pool(0)
+    replays = []
+
+    def counted(lhs, rhs, w):
+        replays.append(w)
+        return verify_witness2(lhs, rhs, w)
+
+    monkeypatch.setattr(reducibility, "verify_witness2", counted)
+    yes = 0
+    # the second round finds a record for every pair
+    for _ in range(2):
+        for p, q in itertools.product(pool, repeat=2):
+            yes += le2_map(p, q) is not None
+            if p.is_total and q.is_total:
+                yes += le2_fn(p, q) is not None
+                yes += le2_fn(p, q, "oracle") is not None
+    assert yes == len(replays) > 0
+
+
+def test_a_wrong_record_raises_and_never_answers_yes():
+    pool = _le2_pool(1)
+    pairs = list(itertools.product(pool, repeat=2))
+    p, q = next((p, q) for p, q in pairs if p.def_mask and le2_map(p, q) is not None)
+    key = _key(p, q)
+    # G undefined everywhere: the forced F gives nothing back where p is defined
+    _records(p, q)[key] = (-1,) * p.dom.n, _records(p, q)[key][1]
+    twins = [(a, b) for a, b in pairs
+             if a.dom is p.dom and b.dom is q.dom and _key(a, b) == key]
+    assert (p, q) in twins
+    for a, b in twins:
+        with pytest.raises(InvalidWitnessError):
+            le2_map(a, b)
+        with pytest.raises(InvalidWitnessError):
+            decide(a, b, "le2")
+        if a.is_total and b.is_total:
+            with pytest.raises(InvalidWitnessError):
+                le2_fn(a, b)
+
+
+def test_records_sit_on_the_left_domain_and_die_with_it():
+    X = chain(3)
+    p = make_map("p", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    q = make_map("q", X, S2, {"a": "s1", "b": "s1", "c": "s0"})
+    assert le2_map(p, q) is not None
+    assert list(X.__dict__["_kept"][("le2", X)]) == [_key(p, q)]
+    gone = weakref.ref(X)
+    del X, p, q
+    gc.collect()
+    assert gone() is None
+
+
+def test_the_oracle_engine_keeps_no_record():
+    X, Y = chain(3), chain(2)
+    f = make_map("f", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    g = make_map("g", Y, S2, {"a": "s1", "b": "s0"})
+    assert le2_fn(f, g, "oracle") is not None
+    assert ("le2", Y) not in X.__dict__.get("_kept", {})
+
+
+def test_equal_structures_share_a_record_and_one_flipped_pair_does_not(monkeypatch):
+    X = chain(3)
+    q = make_map("q", X, S2, {"a": "s1", "b": "s1", "c": "s0"})
+    # conflict pairs (a, b) and (a, c), on two codomains
+    p = make_map("p", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    twin = make_map("twin", X, D2, {"a": "0", "b": "1", "c": "1"})
+    # conflict pair (a, b) only
+    flipped = make_map("flipped", X, C3, {"a": "b", "b": "a", "c": "c"})
+    assert conflict_structure(twin) == conflict_structure(p) == (7, ((0, 1), (0, 2)))
+    assert conflict_structure(flipped) == (7, ((0, 1),))
+    searches = []
+
+    def spy(*args):
+        searches.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr(reducibility, "_search", spy)
+    first, again = Budget(), Budget()
+    le2_map(p, q, first)
+    le2_map(twin, q, again)
+    assert len(searches) == 1 and again.used == first.used > 0
+    assert len(_records(p, q)) == 1
+    le2_map(flipped, q)
+    assert len(searches) == 2 and len(_records(p, q)) == 2
