@@ -13,7 +13,8 @@ the earlier point's value whose entry is the bitmask of values allowed
 at the later point.  A step ANDs the entries of its assigned neighbours
 once, and each of its candidates is then one bit test.  Every candidate
 tried spends one budget node, so the count of nodes is the count of
-candidates tried, whatever the tables.
+candidates tried, whatever the tables.  Answers kept for a repeat
+follow one rule, :func:`_recorded`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,35 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise CapacityError(f"search budget exhausted ({self.limit} nodes)")
+
+
+RECORDS_LIMIT = 4096
+
+
+def _recorded(records: dict, key, budget: Budget, work, *args):
+    """``work(*args)``, kept in ``records`` under ``key``.
+
+    A record is the answer, None included, with the nodes of ``budget``
+    that ``work`` spent.  While ``budget`` still has them, a repeat spends
+    them again and returns the answer, leaving ``budget.used`` where a new
+    search would; otherwise ``work`` runs anew and runs out as a new
+    search does, with ``budget.used`` one past the limit.  So ``work`` must
+    answer and spend alike for equal keys.  An exception is never kept,
+    and a dict past ``RECORDS_LIMIT`` records drops its oldest first.
+    """
+    got = records.get(key)
+    if got is not None:
+        found, nodes = got
+        nodes += budget.used
+        if nodes <= budget.limit:
+            budget.used = nodes
+            return found
+    start = budget.used
+    found = work(*args)
+    if got is None and len(records) >= RECORDS_LIMIT:
+        del records[next(iter(records))]
+    records[key] = found, budget.used - start
+    return found
 
 
 def _search(

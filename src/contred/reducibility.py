@@ -25,14 +25,13 @@ exhaustion is never reported as "no".
 The fast searches and the enumeration of continuous maps run on the
 backtracking kernel of :mod:`contred.kernel`; the definitional oracle
 engine stays apart from it as an independent reference.  Each
-enumeration is kept on its domain space and dies with it, and so is each
-answer of the fast le2 search, keyed by the conflict structures of its
-two maps, all it reads of them; a yes from a kept answer is still
-replayed in full.  :func:`decide` answers a pair of maps no without a
-search when their levels (see :mod:`contred.invariants`) already rule
-the reduction out, and keeps each answer on its left item: a repeated
-decision returns it and spends again the nodes it took, so a budget
-bounds it as it bounds a new search.
+enumeration is kept on its domain space and dies with it.  The answers
+of the fast le2 search (on the left domain, keyed by the conflict
+structures of its two maps, all it reads of them) and of :func:`decide`
+(on its left item) are kept by :func:`contred.kernel._recorded`; a yes
+from a kept answer is still replayed in full.  :func:`decide` answers a
+pair of maps no without a search when their levels (see
+:mod:`contred.invariants`) already rule the reduction out.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from math import inf
 
 from .errors import CapacityError, InvalidWitnessError, SpaceMismatchError
 from .invariants import _refuted
-from .kernel import DEFAULT_BUDGET, Budget, _monotone, _search
+from .kernel import DEFAULT_BUDGET, Budget, _monotone, _recorded, _search
 from .spaces import (
     PartialMap,
     Problem,
@@ -281,24 +280,6 @@ def le0_problem(
 # -- le2: fast engine -----------------------------------------------------
 
 
-def _le2_tables(q: PartialMap) -> tuple[int, ...]:
-    """The masked :func:`_search` tables of a translation into ``q``'s
-    domain, read off its :func:`conflict_structure`: one flat tuple of 2·n
-    ints for n = |dom q|, entry a the bitmask of the b with (a, b) a
-    conflict pair of ``q``, entry n + b that of the a.  Computed on the
-    first call and kept in ``q``'s ``__dict__``, as a ``_once`` attribute
-    is."""
-    got = q.__dict__.get("_le2_tables")
-    if got is None:
-        n = q.dom.n
-        tables = [0] * (2 * n)
-        for a, b in conflict_structure(q)[1]:
-            tables[a] |= 1 << b
-            tables[n + b] |= 1 << a
-        got = q.__dict__["_le2_tables"] = tuple(tables)
-    return got
-
-
 def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> tuple[int, ...] | None:
     """Search a continuous G on def(p) passing the forced-postprocessor test.
 
@@ -307,45 +288,41 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> tuple[int,
     condition checked during assignment: whenever x <= x' and the queried
     answers satisfy q(G x) <= q(G x'), the targets must satisfy
     p(x) <= p(x').  So a pair of points that is no conflict pair of ``p``
-    reads the plain tables of a monotone G, and a conflict pair the tables
-    of :func:`_le2_tables`, which allow only conflict pairs of ``q``.
+    reads the plain tables of a monotone G, and a conflict pair reads
+    tables that allow only conflict pairs of ``q``.
 
     The search therefore reads nothing of ``p`` and ``q`` but their
-    domains and their :func:`conflict_structure`, and its result is kept as
-    a record: G's index vector (None: no G) with the nodes the search
-    spent, keyed by the pair of structures in a dict kept on ``p``'s
-    domain for ``q``'s (``spaces._kept(p.dom, ("le2", q.dom), …)``), so
-    that it dies with the space.  A record is used only when the budget
-    has its nodes left, and then spends them again, so a hit returns what
-    a new search would return and leaves ``budget.used`` where it would
-    leave it.  Otherwise the search runs anew and raises
-    :class:`CapacityError` as it always does, with ``budget.used`` one
-    past the limit; an exhausted search keeps no record.
+    domains and their :func:`conflict_structure`.  Its answer, G's index
+    vector (None: no G), is kept by :func:`contred.kernel._recorded`,
+    keyed by the pair of structures in a dict kept on ``p``'s domain for
+    ``q``'s, so that it dies with the space.
     """
-    records = _kept(p.dom, ("le2", q.dom), dict)
     key = (conflict_structure(p), conflict_structure(q))
-    got = records.get(key)
-    if got is not None and budget.used + got[1] <= budget.limit:
-        budget.used += got[1]
-        return got[0]
-    (def_p, pairs_p), (def_q, _) = key
-    order = [i for i in range(p.dom.n) if (def_p >> i) & 1]
-    cands = [j for j in range(q.dom.n) if (def_q >> j) & 1]
-    conflicts, n2 = set(pairs_p), q.dom.n
-    up, down = q.dom.up, q.dom.down
+    records = _kept(p.dom, ("le2", q.dom), dict)
+    return _recorded(records, key, budget, _le2_walk, p.dom, q.dom, key, budget)
+
+
+def _le2_walk(X1: Space, X2: Space, key, budget: Budget) -> tuple[int, ...] | None:
+    """:func:`_le2_fast_search` without its records: one kernel walk for
+    the pair of conflict structures ``key`` on X1 and X2."""
+    (def_p, pairs_p), (def_q, pairs_q) = key
+    n2, up, down = X2.n, X2.up, X2.down
+    # above[a]: the b with (a, b) a conflict pair of q; below[b]: the a
+    above, below = [0] * n2, [0] * n2
+    for a, b in pairs_q:
+        above[a] |= 1 << b
+        below[b] |= 1 << a
+    conflicts = set(pairs_p)
 
     def masks(i2: int, i: int, low: bool):
         if ((i2, i) if low else (i, i2)) not in conflicts:
             return up if low else down
-        tables = _le2_tables(q)
-        return tables[:n2] if low else tables[n2:]
+        return above if low else below
 
-    start = budget.used
-    gvec = _search(p.dom.n, p.dom.pairs, order, [cands] * len(order), masks, budget)
-    if gvec is not None:
-        gvec = tuple(gvec)
-    records[key] = gvec, budget.used - start
-    return gvec
+    order = [i for i in range(X1.n) if (def_p >> i) & 1]
+    cands = [j for j in range(n2) if (def_q >> j) & 1]
+    gvec = _search(X1.n, X1.pairs, order, [cands] * len(order), masks, budget)
+    return None if gvec is None else tuple(gvec)
 
 
 def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | None:
@@ -367,13 +344,11 @@ def le2_map(
 ) -> Witness2 | None:
     """One-query reducibility between single partial maps.
 
-    The translation G comes from :func:`_le2_fast_search`, which keeps a
-    record of its answer for each pair of conflict structures on ``p``'s
-    domain: a pair of maps whose structures were searched before spends
-    the record's nodes again instead of searching.  Every yes builds the
-    postprocessor that G forces and replays the witness in full, from a
-    record or not; a record's G that fails to replay raises
-    :class:`InvalidWitnessError`.
+    The translation G comes from :func:`_le2_fast_search`, which keeps
+    its answer per pair of conflict structures (see
+    :func:`contred.kernel._recorded`).  Every yes builds the
+    postprocessor that G forces and replays the witness in full, kept or
+    not; a kept G that fails to replay raises :class:`InvalidWitnessError`.
     """
     return _forced(p, q, _le2_fast_search(p, q, _as_budget(budget)))
 
@@ -566,25 +541,15 @@ def decide(
     computed once and kept on the map.  ``lect`` and problems always
     search.
 
-    Each answer is kept in ``a``'s ``__dict__``, keyed by ``(relation,
-    cap, b)`` for ``lect`` and ``(relation, None, b)`` otherwise, with the
-    number of nodes it took from its budget, and dies with ``a``.  A
-    repeated call returns the same object and spends those nodes again,
-    so it raises :class:`CapacityError` exactly when a new decision would.
-    An exception is never kept.
+    Each answer is kept by :func:`contred.kernel._recorded` in ``a``'s
+    ``__dict__``, keyed by ``(relation, cap, b)`` for ``lect`` and
+    ``(relation, None, b)`` otherwise, and dies with ``a``; a repeated
+    call returns the same object.
     """
     nodes = _as_budget(budget)
+    records = a.__dict__.setdefault("_decided", {})
     key = (relation, cap if relation == "lect" else None, b)
-    got = a.__dict__.get("_decided", {}).get(key)
-    if got is None:
-        used = nodes.used
-        found = _decide(a, b, relation, nodes, cap)
-        a.__dict__.setdefault("_decided", {})[key] = found, nodes.used - used
-        return found
-    found, spent = got
-    if spent:
-        nodes.spend(spent)
-    return found
+    return _recorded(records, key, nodes, _decide, a, b, relation, nodes, cap)
 
 
 def _decide(a, b, relation: str, nodes: Budget, cap: int):

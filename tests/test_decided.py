@@ -2,7 +2,8 @@
 
 A repeated decision of one pair returns the answer of the first one and
 spends the nodes that decision took, so a budget bounds it as it bounds a
-new search.  Every map is built inside its test, so that no test reads an
+new search, and a budget too small for them runs out where a new decision
+would.  Every map is built inside its test, so that no test reads an
 answer another test kept.
 """
 
@@ -25,10 +26,11 @@ from contred import (
     make_map,
     random_map,
     random_partial_map,
+    random_problem,
     random_space,
     sierpinski,
 )
-from contred import reducibility
+from contred import kernel, reducibility
 from contred.explore import injective_indiscrete_map
 
 
@@ -155,7 +157,7 @@ def test_other_errors_are_never_kept():
             decide(ident, other, "le0")
         with pytest.raises(ValueError):
             decide(ident, other, "le9")
-    assert "_decided" not in ident.__dict__
+    assert ident.__dict__.get("_decided", {}) == {}
 
 
 def test_kept_answers_die_with_their_left_item():
@@ -170,3 +172,67 @@ def test_kept_answers_die_with_their_left_item():
     del left
     gc.collect()
     assert gone_left() is None and gone_right() is None
+
+
+def _blur_pair():
+    return injective_indiscrete_map(12), injective_indiscrete_map(12)
+
+
+def _problem_pair(seed):
+    def build():
+        X = random_space(2, 0.5, seed)
+        return tuple(random_problem(X, chain(2), s, 2) for s in (seed, seed + 100))
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "relation, build",
+    [
+        ("le0", _blur_pair),
+        ("le2", _blur_pair),
+        ("lect", _blur_pair),
+        ("le2", _problem_pair(0)),
+        ("le2", _problem_pair(7)),
+    ],
+    ids=["le0", "le2", "lect", "problems-no", "problems-yes"],
+)
+def test_a_repeat_runs_out_of_every_smaller_budget_as_a_new_decision(relation, build):
+    a, b = build()
+    first = Budget()
+    decide(a, b, relation, first, cap=2)
+    assert first.used > 0
+    for limit in range(first.used):
+        # a new decision: both items built afresh, nothing kept on them
+        fresh, again = Budget(limit), Budget(limit)
+        with pytest.raises(CapacityError):
+            decide(*build(), relation, fresh, cap=2)
+        with pytest.raises(CapacityError):
+            decide(a, b, relation, again, cap=2)
+        assert again.used == fresh.used == limit + 1
+    # the kept answer outlives every exhausted repeat
+    assert decide(a, b, relation, Budget(first.used), cap=2) is decide(a, b, relation, cap=2)
+
+
+def _le2_records(X):
+    """The record dicts of the fast le2 search kept on the space X."""
+    return [r for k, r in X.__dict__.get("_kept", {}).items() if k[0] == "le2"]
+
+
+def test_full_records_drop_their_oldest_and_remade_decisions_agree(monkeypatch):
+    monkeypatch.setattr(kernel, "RECORDS_LIMIT", 3)
+    # few domains and many maps on each, so that structures meet often
+    doms = [random_space(3, 0.4, 7), random_space(3, 0.7, 8)]
+    makers = (random_partial_map, random_map)
+    pool = [makers[s % 2](doms[s % 4 // 2], chain(2), s, name=f"m{s}") for s in range(12)]
+    first = {}
+    for _ in range(2):
+        for p, q in itertools.product(pool, repeat=2):
+            answer, used = _spent(p, q, "le2")
+            # the second round finds most records dropped and decides anew
+            assert first.setdefault((p, q), (answer, used)) == (answer, used), (p, q)
+            assert len(p.__dict__["_decided"]) <= 3
+            assert all(len(r) <= 3 for r in _le2_records(p.dom))
+    assert all(len(p.__dict__["_decided"]) == 3 for p in pool)
+    assert 3 in {len(r) for p in pool for r in _le2_records(p.dom)}
+    assert any(answer is not None for answer, _ in first.values())

@@ -4,9 +4,10 @@
 bitmask tables: recursive, checking each constraint pair through a
 ``fits(lo, a, hi, b)`` predicate, one ``Budget.spend()`` per candidate.
 For every caller shape (monotone maps with undefined options, the le2
-tables kept on the right-hand map, the coloring behind ``basesize``) the
-kernel must find the same first solution, leave the same ``Budget.used``
-and run out of every smaller budget.
+tables read off two conflict structures, the coloring behind
+``basesize``) the kernel must find the same first solution, leave the
+same ``Budget.used`` and run out of every smaller budget.  The tests at
+the end pin ``_recorded``, the rule for answers kept for a repeat.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import pytest
 
 from contred import (
     basesize,
+    conflict_structure,
     random_map,
     random_partial_map,
     random_space,
 )
-from contred import invariants, reducibility
+from contred import invariants, kernel, reducibility
 from contred.errors import CapacityError
-from contred.kernel import Budget, _monotone, _search
+from contred.kernel import Budget, _monotone, _recorded, _search
 
 
 def _reference_search(n, pairs, order, options, fits, budget, leaf=None):
@@ -174,8 +176,9 @@ def test_le2_tables_walk_the_same_tree_as_the_le2_predicate(monkeypatch, seed):
         for n, pairs, order, options, masks, leaf in calls:
             assert leaf is None
             _same_walk(n, pairs, order, options, masks, fits)
-        masked += "_le2_tables" in q.__dict__
-    # some pairs of points read the masked tables
+            # every conflict pair of p joins two points on the order
+            masked += bool(conflict_structure(p)[1])
+    # some searched pairs of maps read the masked tables
     assert masked > 0
 
 
@@ -215,3 +218,83 @@ def test_a_leaf_may_search_on_the_same_budget():
         runs.append((search(2, pairs, order, options, table, budget, leaf), budget.used))
     assert runs[0] == ([1, -1], 22)  # 10 outer nodes, 6 leaves of 2
     assert runs[1] == runs[0]
+
+
+# -- kept answers ------------------------------------------------------------
+
+
+def _work(budget, answer, nodes, runs):
+    """A ``work`` for :func:`_recorded` that spends ``nodes`` of ``budget``
+    one at a time and returns ``answer``, counting its runs."""
+
+    def work():
+        runs.append(answer)
+        for _ in range(nodes):
+            budget.spend()
+        return answer
+
+    return work
+
+
+def test_a_record_within_budget_spends_its_nodes_again():
+    records, runs = {}, []
+    first = Budget(10)
+    assert _recorded(records, "k", first, _work(first, "yes", 4, runs)) == "yes"
+    assert records == {"k": ("yes", 4)} and first.used == 4
+    for limit, start in ((4, 0), (10, 6)):
+        again = Budget(limit)
+        again.used = start
+        assert _recorded(records, "k", again, _work(again, "other", 1, runs)) == "yes"
+        assert again.used == start + 4
+    assert runs == ["yes"]
+
+
+def test_a_record_over_budget_runs_out_as_a_new_search_and_stays():
+    records, runs = {}, []
+    first = Budget(10)
+    _recorded(records, "k", first, _work(first, "yes", 4, runs))
+    kept = records["k"]
+    for limit, start in ((3, 0), (9, 6)):
+        short = Budget(limit)
+        short.used = start
+        with pytest.raises(CapacityError):
+            _recorded(records, "k", short, _work(short, "yes", 4, runs))
+        assert short.used == limit + 1
+        assert records["k"] is kept
+    assert len(runs) == 3
+
+
+def test_an_exception_is_never_kept():
+    records = {}
+    budget = Budget(2)
+    with pytest.raises(CapacityError):
+        _recorded(records, "k", budget, _work(budget, "yes", 5, []))
+
+    def fail():
+        raise ValueError("no answer")
+
+    with pytest.raises(ValueError):
+        _recorded(records, "k", Budget(), fail)
+    assert records == {}
+
+
+def test_a_no_is_kept():
+    records, runs = {}, []
+    budget = Budget()
+    assert _recorded(records, "k", budget, _work(budget, None, 2, runs)) is None
+    assert _recorded(records, "k", budget, _work(budget, None, 2, runs)) is None
+    assert records == {"k": (None, 2)} and budget.used == 4 and runs == [None]
+
+
+def test_a_full_dict_drops_its_oldest_record_first(monkeypatch):
+    monkeypatch.setattr(kernel, "RECORDS_LIMIT", 3)
+    records, runs = {}, []
+    budget = Budget()
+    for key in range(5):
+        _recorded(records, key, budget, _work(budget, key, 1, runs))
+        assert len(records) == min(key + 1, 3)
+    assert list(records) == [2, 3, 4]
+    # a hit leaves the order as it is: the oldest is the first stored
+    _recorded(records, 2, budget, _work(budget, 2, 1, runs))
+    _recorded(records, 5, budget, _work(budget, 5, 1, runs))
+    assert list(records) == [3, 4, 5] and runs == [0, 1, 2, 3, 4, 5]

@@ -88,3 +88,18 @@ def test_no_function_with_parameters_is_cached_globally():
     # the rule sees the one cache the package keeps, which takes no parameters
     assert cached.get("cli.py:build_parser") is False
     assert [name for name, takes in cached.items() if takes] == []
+
+
+def test_only_the_kernel_counts_nodes():
+    # a Budget's used and limit are read and written in kernel.py alone:
+    # its search counts nodes and _recorded charges a kept answer, so a
+    # budget means the same thing wherever it is spent; other modules call
+    # Budget.spend() or pass the budget on
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("used", "limit")
+    }
+    assert any(name.startswith("kernel.py:") for name in found)
+    assert [name for name in found if not name.startswith("kernel.py:")] == []
