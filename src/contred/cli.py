@@ -179,7 +179,7 @@ def _cmd_poset(args, items) -> int:
         return 0
     for c in range(len(po.classes)):
         print(f"class {c}: {po.class_label(c)}")
-    for a, b in sorted(po.hasse):
+    for a, b in po.hasse:
         print(f"cover: {a} < {b}")
     return 0
 
@@ -217,7 +217,10 @@ def _cmd_search(args, items) -> int:
         return 0
     if args.lev is None or args.bas is None:
         raise CorpusError("search needs --lev with --bas, or --antichain")
-    target = UNBOUNDED if args.lev == "unbounded" else int(args.lev)
+    try:
+        target = UNBOUNDED if args.lev == "unbounded" else int(args.lev)
+    except ValueError:
+        raise CorpusError(f"--lev takes a natural number or unbounded, not {args.lev!r}")
     found = search_lev_bas_witness(
         target, args.bas, max_points=args.max_points, seed=args.seed
     )

@@ -46,6 +46,7 @@ from .spaces import (
     Space,
     _bits,
     _kept,
+    _once,
     _restrict_mask,
     _vec_map,
     build_space,
@@ -64,16 +65,17 @@ from .spaces import (
 class DegreePoset:
     """The partial order a reducibility induces on a finite item pool.
 
-    ``matrix[i][j]`` records items[i] below items[j]; ``classes`` are the
-    mutual-reducibility equivalence classes (each a sorted tuple of item
-    indices, classes ordered by their member names); ``hasse`` holds the
-    covering pairs (lower class, upper class).
+    ``classes`` are the mutual-reducibility equivalence classes (each a
+    sorted tuple of item indices, classes ordered by their member names);
+    bit b of ``above[a]`` says class a lies below class b; ``hasse`` holds
+    the covering pairs (lower class, upper class) in ascending order.
+    ``matrix[i][j]``, items[i] below items[j], is read off on first use.
     """
 
     items: tuple
     relation: str
-    matrix: tuple[tuple[bool, ...], ...]
     classes: tuple[tuple[int, ...], ...]
+    above: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
 
     def class_of(self, item_index: int) -> int:
@@ -86,7 +88,12 @@ class DegreePoset:
         return ", ".join(sorted(self.items[i].name for i in self.classes[c]))
 
     def class_below(self, a: int, b: int) -> bool:
-        return self.matrix[self.classes[a][0]][self.classes[b][0]]
+        return bool(self.above[a] >> b & 1)
+
+    @_once
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        of = [self.class_of(i) for i in range(len(self.items))]
+        return tuple(tuple(self.class_below(a, b) for b in of) for a in of)
 
 
 def degree_poset(
@@ -95,6 +102,14 @@ def degree_poset(
     budget: int | Budget | None = None,
     cap: int = 3,
 ) -> DegreePoset:
+    """The degree poset of ``items`` under ``relation``, decided class
+    first: each item is decided both ways against the representatives
+    found so far and joins the first one it is mutually reducible with,
+    once it answers against every earlier one as that one does; otherwise
+    it becomes a representative.  Under lect nothing joins, so every
+    ordered pair is decided: bounded-copies reductions need not compose
+    within cap.  A decider that is not a preorder raises ``ContredError``.
+    """
     items = tuple(items)
     kinds = {isinstance(x, Problem) for x in items}
     if len(kinds) > 1:
@@ -107,84 +122,64 @@ def degree_poset(
         if len(cods) > 1:
             raise SpaceMismatchError("le0 poset needs one common codomain")
     n = len(items)
-    # Class first: each item is decided both ways against the class
-    # representatives found so far and joins the first one it is mutually
-    # reducible with; otherwise it becomes a representative and its
-    # reflexivity is decided.  Under lect nothing joins, so every ordered
-    # pair is decided: bounded-copies reductions need not compose within
-    # cap.
     joins = relation != "lect"
-    decided: dict[tuple[int, int], bool] = {}
-    rep_of = list(range(n))
+    # bitmasks over item indices: the representatives above representative
+    # r, the earlier ones below it, and r's class
+    up, down, members = [0] * n, [0] * n, [0] * n
     reps: list[int] = []
 
-    def search(i: int, j: int) -> bool:
-        decided[i, j] = decide(items[i], items[j], relation, budget, cap) is not None
-        return decided[i, j]
-
     for i in range(n):
+        row = col = 0
+        joinable = joins
         for r in reps:
-            up, down = search(i, r), search(r, i)
-            if joins and up and down:
-                rep_of[i] = r
-                break
+            row |= (decide(items[i], items[r], relation, budget, cap) is not None) << r
+            col |= (decide(items[r], items[i], relation, budget, cap) is not None) << r
+            if joinable and (row & col) >> r & 1:
+                # an item that answers against an earlier representative
+                # unlike r joins nothing: as a representative, its row
+                # breaks transitivity below
+                joinable = not ((row ^ up[r]) | (col ^ down[r])) & ((1 << r) - 1)
+                if joinable:
+                    members[r] |= 1 << i
+                    break
         else:
-            search(i, i)
+            bit = 1 << i
+            if decide(items[i], items[i], relation, budget, cap) is not None:
+                row, col = row | bit, col | bit
+            up[i], down[i], members[i] = row, col, bit
+            for r in _bits(col):
+                up[r] |= bit
             reps.append(i)
-    # every decided entry stands as decided, the rest are read from the
-    # representatives; a disagreement between the two shows up below as
-    # an intransitive triple through the member and its representative
-    matrix = tuple(
-        tuple(
-            decided.get((i, j), decided[rep_of[i], rep_of[j]]) for j in range(n)
-        )
-        for i in range(n)
-    )
-    rows = [sum(1 << j for j in range(n) if matrix[i][j]) for i in range(n)]
-    for i in range(n):
-        if not matrix[i][i]:
-            raise ContredError(f"{relation} is not reflexive at {names[i]!r}")
-        for j in _bits(rows[i]):
-            missed = rows[j] & ~rows[i]
+    for r in reps:
+        if not up[r] >> r & 1:
+            raise ContredError(f"{relation} is not reflexive at {names[r]!r}")
+        for j in _bits(up[r]):
+            missed = up[j] & ~up[r]
             if missed:
-                k = (missed & -missed).bit_length() - 1
+                k = next(_bits(missed))
                 raise ContredError(
                     f"{relation} is not transitive on "
-                    f"{names[i]!r}, {names[j]!r}, {names[k]!r}"
+                    f"{names[r]!r}, {names[j]!r}, {names[k]!r}"
                 )
 
-    assigned: dict[int, int] = {}
-    classes: list[tuple[int, ...]] = []
-    for i in range(n):
-        if i in assigned:
-            continue
-        members = tuple(
-            j for j in range(n) if matrix[i][j] and matrix[j][i]
-        )
-        for j in members:
-            assigned[j] = len(classes)
-        classes.append(members)
-    order = sorted(
-        range(len(classes)),
-        key=lambda c: tuple(sorted(items[i].name for i in classes[c])),
-    )
-    classes = [classes[c] for c in order]
-
-    def below(a: int, b: int) -> bool:
-        return matrix[classes[a][0]][classes[b][0]]
-
-    m = len(classes)
-    hasse = []
-    for a in range(m):
-        for b in range(m):
-            if a == b or not below(a, b):
-                continue
-            if not any(
-                c != a and c != b and below(a, c) and below(c, b)
-                for c in range(m)
-            ):
-                hasse.append((a, b))
-    return DegreePoset(items, relation, matrix, tuple(classes), tuple(hasse))
+    # a class is the members of the representatives that share a row, the
+    # mutually reducible ones; only lect, never joining, has several
+    classes = []
+    for r in reps:
+        same = [t for t in reps if up[t] == up[r]]
+        if same[0] == r:
+            classes.append(tuple(sorted(i for t in same for i in _bits(members[t]))))
+    classes.sort(key=lambda c: sorted(names[i] for i in c))
+    above = [
+        sum(1 << b for b, cb in enumerate(classes) if up[ca[0]] >> cb[0] & 1)
+        for ca in classes
+    ]
+    strict = [row & ~(1 << a) for a, row in enumerate(above)]
+    hasse = [
+        (a, b) for a, row in enumerate(strict) for b in _bits(row)
+        if not any(strict[c] >> b & 1 for c in _bits(row))
+    ]
+    return DegreePoset(items, relation, tuple(classes), tuple(above), tuple(hasse))
 
 
 def _dot_quote(text: str) -> str:
@@ -409,7 +404,7 @@ def search_lev_bas_witness(
     if lev_t == LevelValue(0) and target_bas == 0:
         candidates.append(total_map("void", chain(0), discrete(1), {}))
     rng = _rng("search", lev_t, target_bas, seed)
-    for _ in range(attempts):
+    for _ in range(attempts if max_points >= 1 else 0):
         n = rng.randint(1, max_points)
         dom = random_space(n, rng.choice([0.2, 0.4, 0.7]), rng.randrange(1 << 30))
         cod = discrete(rng.randint(1, min(4, max(1, n))))
@@ -434,12 +429,13 @@ def _antichain_catalog(
     if relation == "le0":
         cod = discrete(size)
         dot = indiscrete(1)
-        out.append(
-            tuple(
-                total_map(f"k{v}", dot, cod, {"0": str(v)})
-                for v in range(size)
+        if max_points >= 1:
+            out.append(
+                tuple(
+                    total_map(f"k{v}", dot, cod, {"0": str(v)})
+                    for v in range(size)
+                )
             )
-        )
         return out
     # Incomparable invariant profiles: unbounded level with small
     # basesize against descending-level ascending-basesize chains.
@@ -489,7 +485,7 @@ def search_antichain(
     rng = _rng("antichain", size, relation, seed)
     pool: list[PartialMap] = []
     cod = discrete(min(size, 3)) if relation == "le0" else None
-    for _ in range(attempts):
+    for _ in range(attempts if max_points >= 1 else 0):
         n = rng.randint(1, min(4, max_points))
         dom = random_space(n, rng.choice([0.0, 0.3, 0.6]), rng.randrange(1 << 30))
         target = cod or discrete(rng.randint(1, 3))

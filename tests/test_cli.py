@@ -268,6 +268,9 @@ def test_search_flag_conflicts(capsys):
     args = ["search", "--antichain", "2", "--lev", "2", "--bas", "2", "--seed", "1"]
     assert main(args) == 2
     assert "excludes" in capsys.readouterr().err
+    assert main(["search", "--lev", "x", "--bas", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--lev takes a natural number or unbounded, not 'x'" in err
 
 
 def test_search_exhaustion_is_exit_three(capsys):
@@ -277,6 +280,10 @@ def test_search_exhaustion_is_exit_three(capsys):
     ]
     assert main(args) == 3
     assert "budget exhausted" in capsys.readouterr().err
+    # no point to draw on: nothing is found, and nothing crashes
+    args = ["search", "--antichain", "2", "--max-points", "0", "--seed", "1"]
+    assert main(args) == 3
+    assert "budget exhausted: no antichain" in capsys.readouterr().err
 
 
 def test_search_rejects_positionals(capsys):

@@ -36,6 +36,7 @@ from contred import (
     map_equal,
     mod_chain_map,
     parse,
+    problem,
     random_map,
     random_partial_map,
     random_problem,
@@ -52,7 +53,7 @@ from contred import (
 )
 from contred.explore import enumerate_continuous_partial, enumerate_continuous_total
 
-from conftest import assert_valid_dot, run_python, seeds, spaces_st
+from conftest import assert_valid_dot, problems_st, run_python, seeds, spaces_st
 
 S2 = sierpinski()
 D2 = discrete(2)
@@ -201,6 +202,17 @@ def test_degree_poset_checks_a_member_against_earlier_representatives(flags):
     assert done.stdout == "raised: le2 is not transitive on 'r', 'm', 'x'\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_degree_poset_checks_earlier_representatives_below_a_member(flags):
+    # the mirror case: x <= m and m joins r's class, but not x <= r
+    below = '{("x", "m"), ("m", "r"), ("r", "m")}'
+    script = MEMBER_INTRANSITIVE_POSET.replace('{("m", "x"), ("m", "r"), ("r", "m")}', below)
+    assert script != MEMBER_INTRANSITIVE_POSET
+    done = run_python(*flags, "-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: le2 is not transitive on 'x', 'm', 'r'\n"
+
+
 @pytest.fixture()
 def decisions(monkeypatch):
     """The (lhs, rhs) name pairs ``degree_poset`` decides, in order."""
@@ -252,6 +264,10 @@ def test_lect_poset_decides_every_ordered_pair(decisions):
         (a.name, b.name) for a in pool for b in pool
     )
     assert poset.matrix == _full_matrix(pool, "lect")
+    # nothing joins under lect, yet equivalent items share a class
+    assert [poset.class_label(c) for c in range(len(poset.classes))] == [
+        "alt3, flip, step", "ident, k1, konst"
+    ]
 
 
 def _full_matrix(items, relation):
@@ -301,7 +317,15 @@ def _full_matrix_poset(items, relation):
 def poset_pools(draw, relation):
     """Maps drawn with repeats from a few domains, codomains and seeds, so
     that pools hold repeated degrees; lect takes total maps only, and le0
-    one codomain."""
+    one codomain.  Under le0 and le2 a pool may hold problems instead."""
+    if relation != "lect" and draw(st.booleans()):
+        problems = problems_st(max_points=2, max_members=2)
+        pool = draw(st.lists(problems, min_size=2, max_size=6))
+        if relation == "le0":
+            pool = [x for x in pool if x.cod == pool[0].cod]
+        # random_problem names by seed, and poset items need distinct names
+        pool = [problem(f"P{k}", x.dom, x.cod, x.members) for k, x in enumerate(pool)]
+        return relation, pool
     max_points = 3 if relation == "lect" else 4
     doms = draw(st.lists(spaces_st(0, max_points), min_size=1, max_size=3))
     one_cod = relation == "le0"
@@ -466,6 +490,16 @@ def test_search_rejects_base_above_level():
 def test_search_reports_exhaustion_distinctly():
     with pytest.raises(SearchExhaustedError):
         search_lev_bas_witness(5, 5, max_points=2, seed=0, attempts=2)
+
+
+def test_searches_stay_within_zero_points():
+    # the 0-point map is the one candidate; nothing may draw a point
+    assert search_lev_bas_witness(0, 0, max_points=0, seed=0).dom.n == 0
+    with pytest.raises(SearchExhaustedError):
+        search_lev_bas_witness(1, 1, max_points=0, seed=0)
+    for relation in ("le0", "le2", "lect"):
+        with pytest.raises(SearchExhaustedError):
+            search_antichain(2, relation=relation, max_points=0, seed=0)
 
 
 def _pairwise_incomparable(fam, relation):
