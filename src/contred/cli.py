@@ -31,6 +31,7 @@ from .explore import (
 )
 from .invariants import (
     UNBOUNDED,
+    LevelValue,
     basesize,
     basesize_problem,
     level,
@@ -218,7 +219,7 @@ def _cmd_search(args, items) -> int:
     if args.lev is None or args.bas is None:
         raise CorpusError("search needs --lev with --bas, or --antichain")
     try:
-        target = UNBOUNDED if args.lev == "unbounded" else int(args.lev)
+        target = UNBOUNDED if args.lev == "unbounded" else LevelValue(int(args.lev))
     except ValueError:
         raise CorpusError(f"--lev takes a natural number or unbounded, not {args.lev!r}")
     found = search_lev_bas_witness(

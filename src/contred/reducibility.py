@@ -47,14 +47,13 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
-    _breaks,
     _kept,
     _once,
+    _rises,
     _rises_on_product,
     _Value,
     _vec_map,
     compose,
-    conflict_structure,
     delta,
     identity_map,
     pi_pair,
@@ -85,10 +84,13 @@ class _Witness(_Value):
         return type(self).__name__ + repr(self._key())
 
     @classmethod
-    def _on(cls, lhs, rhs, spaces, **vecs):
-        """The witness of index ``vecs`` on ``spaces``, for lhs below rhs."""
+    def _on(cls, lhs, rhs, spaces, gvec, fvec=None):
+        """The witness of index vectors ``gvec`` (and ``fvec``) on ``spaces``."""
         w = object.__new__(cls)
-        w.__dict__.update(spaces=spaces, names=(lhs.name, rhs.name), **vecs)
+        d = w.__dict__
+        d["spaces"], d["names"], d["gvec"] = spaces, (lhs.name, rhs.name), gvec
+        if fvec is not None:
+            d["fvec"] = fvec
         return w
 
     @_once
@@ -171,10 +173,10 @@ def _replayed(
 def _yes(lhs, rhs, gvec, fvec=None) -> Witness0 | Witness2:
     """The replayed witness of G's index vector and, for le2, F's."""
     if fvec is None:
-        w = Witness0._on(lhs, rhs, (lhs.dom, rhs.dom), gvec=tuple(gvec))
+        w = Witness0._on(lhs, rhs, (lhs.dom, rhs.dom), tuple(gvec))
     else:
         spaces = (lhs.dom, rhs.dom, rhs.cod, lhs.cod)
-        w = Witness2._on(lhs, rhs, spaces, gvec=tuple(gvec), fvec=tuple(fvec))
+        w = Witness2._on(lhs, rhs, spaces, tuple(gvec), tuple(fvec))
     return _replayed(lhs, rhs, w)
 
 
@@ -294,10 +296,10 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> tuple[int,
     The search therefore reads nothing of ``p`` and ``q`` but their
     domains and their :func:`conflict_structure`.  Its answer, G's index
     vector (None: no G), is kept by :func:`contred.kernel._recorded`,
-    keyed by the pair of structures in a dict kept on ``p``'s domain for
-    ``q``'s, so that it dies with the space.
+    keyed by the pair of (shared) structures in a dict kept on ``p``'s
+    domain for ``q``'s, so that it dies with the space.
     """
-    key = (conflict_structure(p), conflict_structure(q))
+    key = (p.conflicts, q.conflicts)
     records = _kept(p.dom, ("le2", q.dom), dict)
     return _recorded(records, key, budget, _le2_walk, p.dom, q.dom, key, budget)
 
@@ -331,11 +333,12 @@ def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | 
     F(x, q(G x)) = p(x)."""
     if gvec is None:
         return None
-    k, pv, qv = q.cod.n, p.vec, q.vec
+    k, qv, t = q.cod.n, q.vec, 0
     fvec = [-1] * (p.dom.n * k)
-    for i, j in enumerate(gvec):
+    for j, v in zip(gvec, p.vec):
         if j >= 0:
-            fvec[i * k + qv[j]] = pv[i]
+            fvec[t + qv[j]] = v
+        t += k
     return _yes(p, q, gvec, fvec)
 
 
@@ -547,7 +550,7 @@ def decide(
     call returns the same object.
     """
     nodes = _as_budget(budget)
-    records = a.__dict__.setdefault("_decided", {})
+    records = a.__dict__.get("_decided") or a.__dict__.setdefault("_decided", {})
     key = (relation, cap if relation == "lect" else None, b)
     return _recorded(records, key, nodes, _decide, a, b, relation, nodes, cap)
 
@@ -625,7 +628,7 @@ def verify_witness0(
     q(G x) = p(x), undefined exactly where p is, for a continuous G between
     the domains."""
     X1, X2, gv = lhs.dom, rhs.dom, w.gvec
-    if w.spaces != (X1, X2) or _breaks(gv, X1, X2):
+    if w.spaces != (X1, X2) or len(gv) != X1.n or not _rises(gv, X1, X2):
         return False
 
     def composite(q: PartialMap) -> tuple[int, ...]:
@@ -644,9 +647,10 @@ def verify_witness2(
 ) -> bool:
     """Replay a one-query witness pointwise on its index vectors:
     F(x, q(G x)) = p(x), undefined exactly where p is, for continuous G
-    and F on the right spaces.  This is :func:`replay2`'s composite
-    without building it, nor the product X1 x Y2: F is checked along the
-    product order by arithmetic."""
+    and F with vectors of the right lengths on the right spaces.  This is
+    :func:`replay2`'s composite without building it, nor the product
+    X1 x Y2: F is checked along the product order by arithmetic, a pair
+    of maps entry by entry."""
     X1, X2, Y2, Y1 = lhs.dom, rhs.dom, rhs.cod, lhs.cod
     if w.spaces is None:
         g, f = w.translation, w.postprocess
@@ -655,15 +659,21 @@ def verify_witness2(
     elif w.spaces != (X1, X2, Y2, Y1):
         return False
     gv, fv, k = w.gvec, w.fvec, Y2.n
-    if _breaks(gv, X1, X2) or not _rises_on_product(fv, X1, Y2, Y1):
+    if len(gv) != X1.n or len(fv) != X1.n * k:
         return False
+    if not _rises(gv, X1, X2) or not _rises_on_product(fv, X1, Y2, Y1):
+        return False
+    if isinstance(lhs, PartialMap) and isinstance(rhs, PartialMap):
+        qv, t = rhs.vec, 0
+        for j, v in zip(gv, lhs.vec):
+            if (fv[t + qv[j]] if j >= 0 <= qv[j] else -1) != v:
+                return False
+            t += k
+        return True
 
     def composite(q: PartialMap) -> tuple[int, ...]:
         qv = q.vec
-        return tuple(
-            fv[x * k + qv[j]] if j >= 0 and qv[j] >= 0 else -1
-            for x, j in enumerate(gv)
-        )
+        return tuple(fv[x * k + qv[j]] if j >= 0 <= qv[j] else -1 for x, j in enumerate(gv))
 
     return _sends_into(lhs, rhs, composite)
 

@@ -17,10 +17,11 @@ build a new space.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import kernel
 from .errors import CapacityError, SpaceMismatchError
 
 _OPENS_LIMIT = 20  # 2**n subsets get enumerated; refuse anything larger
@@ -55,7 +56,7 @@ def _kept(space: Space, key: tuple, build):
     """``build()``, worked out on the first call with ``key`` and kept in
     ``space``'s ``__dict__``, so that it dies with ``space``: what is
     derived from spaces is cached on the first of them, never globally."""
-    kept = space.__dict__.setdefault("_kept", {})
+    kept = space.__dict__.get("_kept") or space.__dict__.setdefault("_kept", {})
     got = kept.get(key)
     if got is None:
         got = kept[key] = build()
@@ -338,6 +339,13 @@ class PartialMap(_Value):
         return m
 
     @_once
+    def conflicts(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """See :func:`conflict_structure`."""
+        s = (self.def_mask, tuple(_breaks(self.vec, self.dom, self.cod)))
+        seen = _kept(self.dom, ("structures",), dict)
+        return seen.setdefault(s, s) if len(seen) < kernel.RECORDS_LIMIT else seen.get(s, s)
+
+    @_once
     def defined_on(self) -> frozenset[str]:
         return frozenset(x for x, _ in self.table)
 
@@ -439,8 +447,8 @@ def _breaks(vec, dom: Space, cod: Space) -> list[tuple[int, int]]:
 
     Continuity on finite spaces is monotonicity, so the map is continuous
     exactly when this is empty, and continuous at i exactly when no pair
-    starts at i.  It and :func:`_rises_on_product` are the places that
-    compare values along the order.
+    starts at i.  It, :func:`_rises` and :func:`_rises_on_product` are the
+    places that compare values along the order.
     """
     upc = cod.up
     return [
@@ -450,32 +458,42 @@ def _breaks(vec, dom: Space, cod: Space) -> list[tuple[int, int]]:
     ]
 
 
+def _rises(vec, dom: Space, cod: Space) -> bool:
+    """Whether :func:`_breaks` is empty, stopping at the first break."""
+    upc = cod.up
+    for i, j in zip(*dom.pairs):
+        v, w = vec[i], vec[j]
+        if v >= 0 <= w and not (upc[v] >> w) & 1:
+            return False
+    return True
+
+
 def conflict_structure(p: PartialMap) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The conflict structure of ``p`` on its domain's order: ``(def_mask,
     pairs)``, its defined points and its conflict pairs, the comparable
     pairs whose values fail to compare, as :func:`_breaks` lists them.
 
-    Worked out on the first call and kept in ``p``'s ``__dict__``.  It is
-    all that the fast ``le2`` search reads of a map besides its domain, so
-    that search keys its records by it; the conflict graph and the level
-    rounds of :mod:`contred.invariants` read it too.
+    It is ``p.conflicts``, worked out on first use and kept on ``p``.
+    Equal structures of maps on one domain are one object, kept in a table
+    on the domain (up to ``kernel.RECORDS_LIMIT``; past it, not shared).
+    It is all that the fast ``le2`` search reads of a map besides its
+    domain, so that search keys its records by it; the conflict graph and
+    the level rounds of :mod:`contred.invariants` read it too.
     """
-    got = p.__dict__.get("_conflicts")
-    if got is None:
-        got = p.__dict__["_conflicts"] = (p.def_mask, tuple(_breaks(p.vec, p.dom, p.cod)))
-    return got
+    return p.conflicts
 
 
 def _rises_on_product(vec, a: Space, b: Space, cod: Space) -> bool:
     """Whether ``vec``, a map a x b -> cod on :func:`product`'s indices
     ((i, y) at i * |b| + y), is monotone where defined, without building
-    the product: (i, y) is below (j, z) when i is below j and y below z."""
+    the product: (i, y) is below (j, z) when i is below j and y below z.
+    Any number of points (i, y) per i may be defined."""
     k, upa, upb, upc = b.n, a.up, b.up, cod.up
-    on = [(t // k, t % k, v) for t, v in enumerate(vec) if v >= 0]
-    for i, y, v in on:
-        ui, uy, uv = upa[i], upb[y], upc[v]
-        for j, z, w in on:
-            if (ui >> j) & 1 and (uy >> z) & 1 and not (uv >> w) & 1:
+    on = [(t, v) for t, v in enumerate(vec) if v >= 0]
+    for t, v in on:
+        ui, uy, uv = upa[t // k], upb[t % k], upc[v]
+        for s, w in on:
+            if not (uv >> w) & 1 and (ui >> s // k) & 1 and (uy >> s % k) & 1:
                 return False
     return True
 

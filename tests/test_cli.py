@@ -271,6 +271,9 @@ def test_search_flag_conflicts(capsys):
     assert main(["search", "--lev", "x", "--bas", "1", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert "--lev takes a natural number or unbounded, not 'x'" in err
+    assert main(["search", "--lev", "-1", "--bas", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--lev takes a natural number or unbounded, not '-1'" in err
 
 
 def test_search_exhaustion_is_exit_three(capsys):

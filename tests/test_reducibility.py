@@ -59,7 +59,7 @@ from contred import (
     witness0_to_witness2,
 )
 
-from contred import reducibility
+from contred import kernel, reducibility
 from contred.reducibility import _le2_fast_search, _search
 
 from conftest import partial_maps_st, problems_st, seeds, spaces_st, total_maps_st
@@ -709,3 +709,82 @@ def test_equal_structures_share_a_record_and_one_flipped_pair_does_not(monkeypat
     assert len(_records(p, q)) == 1
     le2_map(flipped, q)
     assert len(searches) == 2 and len(_records(p, q)) == 2
+
+
+def _structures(X):
+    """The table of conflict structures interned on the space X."""
+    return X.__dict__.get("_kept", {}).get(("structures",), {})
+
+
+def test_equal_structures_on_one_domain_are_one_object():
+    X = chain(3)
+    p = make_map("p", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    twin = make_map("twin", X, D2, {"a": "0", "b": "1", "c": "1"})
+    again = make_map("p", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    s = conflict_structure(p)
+    assert conflict_structure(twin) is s and conflict_structure(again) is s
+    assert _structures(X)[s] is s
+    # a map on an equal but distinct domain gets an equal, other object
+    Z = chain(3)
+    assert Z == X and Z is not X
+    other = make_map("p", Z, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    assert conflict_structure(other) == s and conflict_structure(other) is not s
+
+
+def test_equal_but_distinct_domains_give_the_same_answers(monkeypatch):
+    X, Z = chain(3), chain(3)
+    p = make_map("p", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    p_z = make_map("p", Z, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    q = make_map("q", X, S2, {"a": "s1", "b": "s1", "c": "s0"})
+    q_z = make_map("q", Z, S2, {"a": "s1", "b": "s1", "c": "s0"})
+    searches = []
+
+    def spy(*args):
+        searches.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr(reducibility, "_search", spy)
+    first, again, left = Budget(), Budget(), Budget()
+    w = le2_map(p, q, first)
+    # the right domain enters the key by equality: one records dict, one search
+    assert le2_map(p, q_z, again).gvec == w.gvec
+    assert _records(p, q_z) is _records(p, q) and len(_records(p, q)) == 1
+    assert len(searches) == 1 and again.used == first.used > 0
+    # the left domain holds the records: its equal twin searches anew
+    assert le2_map(p_z, q, left).gvec == w.gvec
+    assert _records(p_z, q) is not _records(p, q)
+    assert len(searches) == 2 and left.used == first.used
+
+
+def test_the_structure_table_stops_at_the_records_limit(monkeypatch):
+    def decided(pool):
+        out = []
+        for p, q in itertools.product(pool, repeat=2):
+            b = Budget()
+            w = le2_map(p, q, b)
+            out.append((None if w is None else (w.gvec, w.fvec), b.used))
+        return out
+
+    def pool():
+        # two 3-point domains with more structures each than the bound
+        doms = [chain(3), random_space(3, 0.5, 11)]
+        makers = (random_partial_map, random_map)
+        return [makers[s % 2](doms[s % 4 // 2], D2, s, name=f"m{s}") for s in range(16)]
+
+    expected = decided(pool())
+    monkeypatch.setattr(kernel, "RECORDS_LIMIT", 3)
+    maps = pool()
+    assert decided(maps) == expected
+    assert {len(_structures(p.dom)) for p in maps} == {3}
+    # a structure past the bound is still the map's, equal and not shared
+    assert any(conflict_structure(p) not in _structures(p.dom) for p in maps)
+
+
+def test_the_structure_table_dies_with_its_space():
+    X = chain(3)
+    p = make_map("p", X, S2, {"a": "s1", "b": "s0", "c": "s0"})
+    assert conflict_structure(p) in _structures(X)
+    gone = weakref.ref(X)
+    del X, p
+    gc.collect()
+    assert gone() is None

@@ -5,6 +5,7 @@ read, and corpus round trips on arbitrary bare tokens."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -43,9 +44,9 @@ from contred import (
 )
 from contred import reducibility, spaces
 from contred.cli import main
-from contred.spaces import _vec_map
+from contred.spaces import _breaks, _rises, _rises_on_product, _vec_map
 
-from conftest import partial_maps_st, problems_st, spaces_st
+from conftest import all_spaces_up_to, partial_maps_st, problems_st, spaces_st
 
 # -- names with commas -------------------------------------------------------
 
@@ -412,6 +413,39 @@ def test_a_yes_builds_no_map_and_no_product(monkeypatch):
     monkeypatch.undo()
     assert [w.postprocess for w in found[:3]] == [w.postprocess for w in wanted]
     assert all(verify_witness2(p, q, w) for (p, q), w in zip(pairs, found))
+
+
+def test_rises_on_product_agrees_with_continuity_on_the_built_product():
+    # every F vector, several defined points per x included, on every
+    # triple of spaces on at most 2 points
+    small = all_spaces_up_to(2)
+    checked = 0
+    for X1, Y2, Y1 in itertools.product(small, repeat=3):
+        prod = product_space(X1, Y2)
+        for fv in itertools.product(range(-1, Y1.n), repeat=prod.n):
+            f = _vec_map("F", prod, Y1, fv)
+            assert _rises_on_product(fv, X1, Y2, Y1) == is_continuous(f), (X1, Y2, Y1, fv)
+            checked += 1
+    assert checked > 5_000
+
+
+def test_rises_agrees_with_breaks():
+    small = all_spaces_up_to(3)
+    for X, Y in itertools.product(small, repeat=2):
+        for vec in itertools.product(range(-1, Y.n), repeat=X.n):
+            assert _rises(vec, X, Y) == (not _breaks(vec, X, Y)), (X, Y, vec)
+
+
+def test_a_vector_one_entry_short_fails_the_replay():
+    # the last point of C2 lies in an order pair, so a short vector is read
+    # past its end unless its length is checked first
+    w2, w0 = le2_map(ID, ID), le0_map(ID, ID)
+    assert w2 is not None and w0 is not None
+    short2 = Witness2._on(ID, ID, w2.spaces, gvec=w2.gvec[:-1], fvec=w2.fvec)
+    assert not verify_witness2(ID, ID, short2)
+    short_f = Witness2._on(ID, ID, w2.spaces, gvec=w2.gvec, fvec=w2.fvec[:-1])
+    assert not verify_witness2(ID, ID, short_f)
+    assert not verify_witness0(ID, ID, Witness0._on(ID, ID, w0.spaces, gvec=w0.gvec[:-1]))
 
 
 # -- corpus round trips on arbitrary bare tokens ------------------------------
