@@ -63,16 +63,21 @@ def _parse_once(text: str) -> Corpus:
 
 
 def _load_corpus(files: list[str]) -> Corpus:
-    """The files' corpora merged into a fresh Corpus; a cached parse is
+    """The corpus of one file is its cached parse, which callers only
+    read; several files merge into a fresh Corpus, so a cached parse is
     never changed."""
-    merged = Corpus()
+    parsed = []
     for path in files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CorpusError(f"cannot read {path!r}: {exc}") from exc
-        one = _parse_once(text)
+        parsed.append((path, _parse_once(text)))
+    if len(parsed) == 1:
+        return parsed[0][1]
+    merged = Corpus()
+    for path, one in parsed:
         for kind in ("spaces", "maps", "relations", "problems"):
             pool = getattr(merged, kind)
             for name, item in getattr(one, kind).items():
@@ -295,7 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse fills the item list before the first option, so item
+        # names after an option come back as leftovers
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            if not args.takes or any(a.startswith("-") for a in extra):
+                parser.error("unrecognized arguments: " + " ".join(extra))
+            args.rest += extra
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2

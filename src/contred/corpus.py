@@ -22,7 +22,10 @@ Grammar (one declaration block per item, ``#`` starts a comment)::
 
 ``below a b`` declares a below b; the reflexive-transitive closure is
 taken automatically.  A map without the ``partial`` marker must supply a
-row for every point.  Serialization is canonical — rows, pairs and
+row for every point, and a block ends at a line that is exactly ``end``.
+Map blocks are read straight into value vectors, one index lookup per
+name, and written back from them, rows in point-name order; no name
+table is built either way.  Serialization is canonical — rows, pairs and
 blocks are sorted, and a space's points keep their declaration order,
 which a ``Space`` compares — so ``serialize`` is a fixpoint under
 ``parse``/``serialize`` round trips, and a witness printed for a corpus
@@ -40,8 +43,8 @@ from .spaces import (
     Problem,
     Relation,
     Space,
+    _vec_map,
     build_space,
-    make_map,
     problem,
     relation,
 )
@@ -71,23 +74,23 @@ class Corpus:
 
 
 def _token_safe(text: str, what: str) -> str:
-    if not text or any(c.isspace() for c in text) or "#" in text:
+    # one token exactly when it is not empty and holds no whitespace
+    if text.split() != [text] or "#" in text:
         raise CorpusError(f"{what} {text!r} is not a bare token")
     return text
 
 
 # -- parsing --------------------------------------------------------------
 
-
-def _split_header(parts: list[str], lineno: int) -> tuple[str, str, str]:
-    # NAME : DOM -> COD
-    if len(parts) != 5 or parts[1] != ":" or parts[3] != "->":
-        raise CorpusError("expected 'NAME : DOM -> COD'", lineno)
-    return parts[0], parts[2], parts[4]
+# the tokens of the line that closes a block
+_END = ["end"]
 
 
 def parse(text: str) -> Corpus:
     corpus = Corpus()
+    spaces = corpus.spaces
+    pools = {"space": spaces, "map": corpus.maps,
+             "relation": corpus.relations, "problem": corpus.problems}
     # (line number, tokens) of every line that holds more than a comment
     lines = (
         (lineno, parts)
@@ -98,34 +101,22 @@ def parse(text: str) -> Corpus:
     def block(head: str, name: str, opened: int):
         """The lines of the block opened at line ``opened``, up to its ``end``."""
         for lineno, parts in lines:
-            if parts[0] == "end":
+            if parts == _END:
                 return
             yield lineno, parts
         raise CorpusError(f"{head} {name!r} never ends", opened)
 
-    def resolve_space(name: str, lineno: int) -> Space:
-        if name not in corpus.spaces:
-            raise CorpusError(f"undeclared space {name!r}", lineno)
-        return corpus.spaces[name]
-
-    for opened, (head, *rest) in lines:
-        if head not in ("space", "map", "relation", "problem"):
+    for opened, parts in lines:
+        head = parts[0]
+        pool = pools.get(head)
+        if pool is None:
             raise CorpusError(f"unknown declaration {head!r}", opened)
         if head == "space":
-            if len(rest) != 1:
+            if len(parts) != 2:
                 raise CorpusError("expected 'space NAME'", opened)
-            name = rest[0]
-        else:
-            name, dom_name, cod_name = _split_header(
-                rest[:5] if head == "map" else rest, opened
-            )
-            marker = rest[5:] if head == "map" else []
-            if marker and marker != ["partial"]:
-                raise CorpusError(f"unexpected tokens {marker}", opened)
-        if name in getattr(corpus, head + "s"):
-            raise CorpusError(f"duplicate {head} {name!r}", opened)
-
-        if head == "space":
+            name = parts[1]
+            if name in pool:
+                raise CorpusError(f"duplicate space {name!r}", opened)
             points: list[str] = []
             below: list[tuple[str, str]] = []
             for lineno, parts in block(head, name, opened):
@@ -143,11 +134,54 @@ def parse(text: str) -> Corpus:
                     below.append((parts[1], parts[2]))
                 else:
                     raise CorpusError(f"unknown directive {parts[0]!r}", lineno)
-            corpus.spaces[name] = build_space(name, points, below)
+            spaces[name] = build_space(name, points, below)
             continue
 
-        dom = resolve_space(dom_name, opened)
-        cod = resolve_space(cod_name, opened)
+        # NAME : DOM -> COD, and for a map an optional partial marker
+        n = len(parts)
+        if n < 6 or parts[2] != ":" or parts[4] != "->" or (n > 6 and head != "map"):
+            raise CorpusError("expected 'NAME : DOM -> COD'", opened)
+        name, partial = parts[1], n > 6
+        if partial and parts[6:] != ["partial"]:
+            raise CorpusError(f"unexpected tokens {parts[6:]}", opened)
+        if name in pool:
+            raise CorpusError(f"duplicate {head} {name!r}", opened)
+        dom = spaces.get(parts[3])
+        cod = spaces.get(parts[5])
+        if dom is None or cod is None:
+            missing = parts[3] if dom is None else parts[5]
+            raise CorpusError(f"undeclared space {missing!r}", opened)
+
+        if head == "map":
+            # rows go straight into the value vector, one lookup per name
+            dindex, cindex = dom.index, cod.index
+            vec = [-1] * dom.n
+            for lineno, parts in lines:
+                if parts == _END:
+                    break
+                if len(parts) < 3 or parts[1] != "->":
+                    raise CorpusError("expected 'POINT -> POINT...'", lineno)
+                if len(parts) != 3:
+                    raise CorpusError("map rows take one value", lineno)
+                x, _, y = parts
+                i = dindex.get(x)
+                if i is None:
+                    raise CorpusError(f"{x!r} is not a point of {dom.name!r}", lineno)
+                j = cindex.get(y)
+                if j is None:
+                    raise CorpusError(f"{y!r} is not a point of {cod.name!r}", lineno)
+                if vec[i] >= 0:
+                    raise CorpusError(f"duplicate row for {x!r}", lineno)
+                vec[i] = j
+            else:
+                raise CorpusError(f"map {name!r} never ends", opened)
+            if not partial and -1 in vec:
+                raise CorpusError(
+                    f"map {name!r} is missing rows; mark it partial", opened
+                )
+            pool[name] = _vec_map(name, dom, cod, vec)
+            continue
+
         if head == "problem":
             members: dict[str, PartialMap] = {}
             for lineno, parts in block(head, name, opened):
@@ -160,18 +194,16 @@ def parse(text: str) -> Corpus:
                     if f.dom != dom or f.cod != cod:
                         raise CorpusError(
                             f"member {m!r} maps {f.dom.name} -> {f.cod.name}, "
-                            f"not {dom_name} -> {cod_name}",
+                            f"not {dom.name} -> {cod.name}",
                             lineno,
                         )
-            corpus.problems[name] = problem(name, dom, cod, members.values())
+            pool[name] = problem(name, dom, cod, members.values())
             continue
 
         rows: dict[str, list[str]] = {}
         for lineno, parts in block(head, name, opened):
             if len(parts) < 3 or parts[1] != "->":
                 raise CorpusError("expected 'POINT -> POINT...'", lineno)
-            if head == "map" and len(parts) != 3:
-                raise CorpusError("map rows take one value", lineno)
             if parts[0] not in dom.index:
                 raise CorpusError(
                     f"{parts[0]!r} is not a point of {dom.name!r}", lineno
@@ -185,16 +217,8 @@ def parse(text: str) -> Corpus:
             if parts[0] in rows:
                 raise CorpusError(f"duplicate row for {parts[0]!r}", lineno)
             rows[parts[0]] = targets
-        if head == "map":
-            if not marker and len(rows) != dom.n:
-                raise CorpusError(
-                    f"map {name!r} is missing rows; mark it partial", opened
-                )
-            table = {p: vs[0] for p, vs in rows.items()}
-            corpus.maps[name] = make_map(name, dom, cod, table)
-        else:
-            pairs = [(p, v) for p, vs in rows.items() for v in vs]
-            corpus.relations[name] = relation(name, dom, cod, pairs)
+        pairs = [(p, v) for p, vs in rows.items() for v in vs]
+        pool[name] = relation(name, dom, cod, pairs)
     return corpus
 
 
@@ -220,11 +244,9 @@ def _map_block(m: PartialMap) -> str:
     )
     if not m.is_total:
         head += " partial"
-    lines = [head]
-    for p, v in sorted(m.table):
-        lines.append(f"  {p} -> {v}")
-    lines.append("end")
-    return "\n".join(lines)
+    pts, vals, vec = m.dom.points, m.cod.points, m.vec
+    rows = [f"  {pts[i]} -> {vals[vec[i]]}" for i in m.dom.by_name if vec[i] >= 0]
+    return "\n".join([head, *rows, "end"])
 
 
 def _relation_block(r: Relation) -> str:

@@ -156,6 +156,12 @@ class Space(_Value):
         return tuple(lo), tuple(hi)
 
     @_once
+    def by_name(self) -> tuple[int, ...]:
+        """Point indices in the order of the points' names: the order the
+        corpus writes a map's rows in."""
+        return tuple(sorted(range(self.n), key=self.points.__getitem__))
+
+    @_once
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -296,8 +302,8 @@ class PartialMap(_Value):
 
     ``vec`` is the map's data: the value index per domain point index, -1
     where the map is undefined.  ``table`` ((point, value) rows in domain
-    order), ``mapping`` and ``defined_on`` are the named views the corpus,
-    the CLI and name-level callers read; they are derived on first use.
+    order), ``mapping`` and ``defined_on`` are the named views name-level
+    callers read; they are derived on first use.
     The constructor takes rows; derived maps are built from vectors.
     Continuity is not required: these are arbitrary set-level maps whose
     continuity is a property checked by :func:`is_continuous`.
@@ -367,10 +373,14 @@ def _rows_vec(
     name: str, dom: Space, cod: Space, table: Iterable[tuple[str, str]]
 ) -> tuple[int, ...]:
     """The value vector of (point, value) rows, each point at most once."""
+    dindex, cindex = dom.index, cod.index
     vec = [-1] * dom.n
     for x, y in table:
-        i = dom.point_index(x)
-        j = cod.point_index(y)
+        i = dindex.get(x)
+        j = cindex.get(y)
+        if i is None or j is None:
+            dom.point_index(x)  # raises for an unknown point,
+            cod.point_index(y)  # else for an unknown value
         if vec[i] >= 0:
             raise ValueError(f"duplicate row for {x!r} in map {name!r}")
         vec[i] = j

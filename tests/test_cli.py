@@ -302,6 +302,54 @@ def test_search_rejects_positionals(capsys):
     assert "unrecognized arguments: ghost nope.clt" in out.err
 
 
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        (
+            ["poset", "le2", "flip", "step", "konst", "{clt}", "--cap", "2"],
+            ["poset", "le2", "--cap", "2", "flip", "step", "konst", "{clt}"],
+            ["poset", "le2", "flip", "--cap", "2", "step", "{clt}", "konst"],
+        ),
+        (
+            ["check", "le2", "flip", "step", "{clt}", "--witness"],
+            ["check", "le2", "flip", "--witness", "step", "{clt}"],
+            ["check", "le2", "--witness", "flip", "step", "{clt}"],
+        ),
+    ],
+)
+def test_options_may_come_before_or_between_items(clt, capsys, spellings):
+    seen = []
+    for argv in spellings:
+        code = main([clt if a == "{clt}" else a for a in argv])
+        seen.append((code, capsys.readouterr()))
+    assert seen[0][0] == 0 and seen[0][1].err == ""
+    assert all(s == seen[0] for s in seen)
+
+
+def test_unknown_options_among_items_stay_usage_errors(clt, capsys):
+    # argparse's own message, which lists every leftover argument
+    for argv, leftovers in (
+        (["check", "le2", "flip", "step", clt, "--bogus"], "--bogus"),
+        (["check", "le2", "--cap", "2", "flip", "--bogus", "step", clt],
+         f"flip --bogus step {clt}"),
+    ):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"contred: error: unrecognized arguments: {leftovers}\n")
+
+
+def test_one_file_is_read_from_its_parse_and_several_merge(clt, tmp_path, capsys):
+    parsed = cli._load_corpus([clt])
+    assert parsed is cli._parsed[DEMO]
+    other = tmp_path / "other.clt"
+    other.write_text("space T\n  points t\nend\n")
+    merged = cli._load_corpus([clt, str(other)])
+    assert merged is not parsed and set(merged.spaces) == {"S", "D2", "T"}
+    assert set(parsed.spaces) == {"S", "D2"}
+    assert merged.maps == parsed.maps
+
+
 # -- budgets ---------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from contred import (
     Corpus,
@@ -20,7 +21,13 @@ from contred import (
 )
 from contred.spaces import Space, build_space
 
-from conftest import problems_st, seeds, spaces_st, total_maps_st
+from conftest import (
+    partial_maps_st,
+    problems_st,
+    seeds,
+    spaces_st,
+    total_maps_st,
+)
 
 SAMPLE = """
 # two spaces, one chain declared by its covers
@@ -244,6 +251,89 @@ def test_error_bad_map_blocks():
     )
 
 
+# lines 1-6 declare X = {x, y} and Y = {u, v}; a map block opens at line 7
+MAP_PRE = "space X\n  points x y\nend\nspace Y\n  points u v\nend\n"
+
+MAP_ERRORS = [
+    # (case, the block from line 7 on, line of the error, message)
+    ("header-short", "map m : X ->\nend\n", 7, "expected 'NAME : DOM -> COD'"),
+    ("header-colon", "map m X -> Y\nend\n", 7, "expected 'NAME : DOM -> COD'"),
+    ("header-extra", "map m : X -> Y total\nend\n", 7, "unexpected tokens ['total']"),
+    ("header-extra-2", "map m : X -> Y partial x\nend\n", 7,
+     "unexpected tokens ['partial', 'x']"),
+    ("undeclared-dom", "map m : Z -> W\nend\n", 7, "undeclared space 'Z'"),
+    ("undeclared-cod", "map m : X -> W\nend\n", 7, "undeclared space 'W'"),
+    ("duplicate-map", "map m : X -> Y partial\nend\nmap m : Z -> Y\nend\n", 9,
+     "duplicate map 'm'"),
+    ("too-few", "map m : X -> Y\n  x ->\nend\n", 8, "expected 'POINT -> POINT...'"),
+    ("one-token", "map m : X -> Y\n  x\nend\n", 8, "expected 'POINT -> POINT...'"),
+    ("too-many", "map m : X -> Y\n  x -> u v\nend\n", 8, "map rows take one value"),
+    ("no-arrow", "map m : X -> Y\n  x u v\nend\n", 8, "expected 'POINT -> POINT...'"),
+    ("no-arrow-4", "map m : X -> Y\n  x = u v\nend\n", 8, "expected 'POINT -> POINT...'"),
+    ("unknown-dom", "map m : X -> Y\n  x -> u\n  z -> u\nend\n", 9, "'z' is not a point of 'X'"),
+    ("unknown-cod", "map m : X -> Y\n  x -> u\n  y -> x\nend\n", 9, "'x' is not a point of 'Y'"),
+    ("unknown-both", "map m : X -> Y\n  z -> w\nend\n", 8, "'z' is not a point of 'X'"),
+    ("duplicate", "map m : X -> Y\n  x -> u\n  x -> v\nend\n", 9, "duplicate row for 'x'"),
+    ("duplicate-partial", "map m : X -> Y partial\n  y -> u\n  y -> u\nend\n", 9, "duplicate row for 'y'"),
+    ("missing-rows", "map m : X -> Y\n  x -> u\nend\n", 7, "map 'm' is missing rows; mark it partial"),
+    ("no-rows", "map m : X -> Y\nend\n", 7, "map 'm' is missing rows; mark it partial"),
+    ("never-ends", "map m : X -> Y\n  x -> u\n  y -> v\n", 7, "map 'm' never ends"),
+    ("never-ends-empty", "map m : X -> Y partial\n", 7, "map 'm' never ends"),
+    ("comment", "map m : X -> Y\n  # a note\n\n  x -> u  # why\n  y -> w\nend\n", 11,
+     "'w' is not a point of 'Y'"),
+    ("end-with-tokens", "map m : X -> Y\n  x -> u\n  end here\n  y -> v\nend\n", 9,
+     "expected 'POINT -> POINT...'"),
+    ("end-as-point", "map m : X -> Y\n  x -> u\n  end -> u\nend\n", 9, "'end' is not a point of 'X'"),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "block, line, message", [c[1:] for c in MAP_ERRORS], ids=[c[0] for c in MAP_ERRORS]
+)
+def test_malformed_map_blocks_keep_message_and_line(block, line, message, newline):
+    e = err((MAP_PRE + block).replace("\n", newline))
+    assert e.line == line
+    assert str(e) == f"line {line}: {message}"
+
+
+def test_a_comment_among_map_rows_is_ignored():
+    text = MAP_PRE + "map m : X -> Y\n  # a note\n  y -> v  # why\n\n  x -> u\nend\n"
+    for newline in ("\n", "\r\n"):
+        m = parse(text.replace("\n", newline)).maps["m"]
+        assert m.vec == (0, 1)
+
+
+def test_only_a_bare_end_closes_a_block():
+    # a line whose first token is end, but which holds more, is an ordinary
+    # line of its block and is judged as one
+    e = err("space X\n  points x\n  end x\nend\n")
+    assert str(e) == "line 3: unknown directive 'end'"
+    e = err(MAP_PRE + "relation r : X -> Y\n  end junk\nend\n")
+    assert str(e) == "line 8: expected 'POINT -> POINT...'"
+    pre = MAP_PRE + "map f : X -> Y\n  x -> u\n  y -> u\nend\n"
+    e = err(pre + "problem p : X -> Y\n  end f\nend\n")
+    assert str(e) == "line 12: expected 'members NAME...'"
+    assert parse("space X\n  points x\nend  # done\n").spaces["X"].points == ("x",)
+
+
+def test_a_point_named_end_round_trips_in_maps_and_relations():
+    X = build_space("X", ["end", "a"], [("end", "a")])
+    D = discrete(2)
+    f = make_map("f", X, D, {"end": "0", "a": "1"})
+    g = make_map("g", D, X, {"0": "end"})
+    r = relation("r", X, X, [("end", "end"), ("end", "a"), ("a", "end")])
+    c = corpus_from_items([f, g, r])
+    text = serialize(c)
+    assert "  end -> 0\n" in text and "  0 -> end\n" in text
+    assert "  end -> a end\n" in text
+    back = parse(text)
+    assert back == c
+    assert back.maps["f"].vec == f.vec and back.maps["g"].vec == g.vec
+    assert back.relations["r"].pairs == r.pairs
+    assert serialize(back) == text
+
+
 def test_error_bad_problem_blocks():
     pre = (
         "space X\n  points x\nend\n"
@@ -325,3 +415,34 @@ def test_random_problem_round_trips(p):
     assert {m.vec for m in back.problems[p.name].members} == {
         m.vec for m in p.members
     }
+
+
+def _shuffled(space: Space, rnd) -> Space:
+    """``space`` with its points declared in a shuffled order."""
+    points = list(space.points)
+    rnd.shuffle(points)
+    below = [(a, b) for a in points for b in points if space.below(a, b)]
+    return build_space(space.name, points, below)
+
+
+@given(st.one_of(total_maps_st(), partial_maps_st()), st.randoms(use_true_random=False))
+def test_maps_over_shuffled_points_round_trip(m, rnd):
+    spaces = {s.name: _shuffled(s, rnd) for s in (m.dom, m.cod)}
+    f = make_map(m.name, spaces[m.dom.name], spaces[m.cod.name], m.mapping)
+    text = serialize(corpus_from_items([f]))
+    back = parse(text)
+    assert back.maps[f.name].vec == f.vec
+    assert back.maps[f.name].dom.points == f.dom.points
+    assert serialize(back) == text
+    # rows are written in point-name order
+    rows = text.split(f"map {f.name} ", 1)[1].splitlines()[1:-1]
+    assert rows == sorted(rows) and len(rows) == len(m.mapping)
+
+
+def test_serialize_builds_no_name_table():
+    c = parse(SAMPLE.split("problem duo")[0])
+    fresh = make_map("fresh", c.spaces["S"], c.spaces["D2"], {"s0": "1"})
+    c.maps["fresh"] = fresh
+    serialize(c)
+    for m in c.maps.values():
+        assert "table" not in m.__dict__

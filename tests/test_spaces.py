@@ -327,6 +327,19 @@ def test_map_builders_reject_conflicting_rows():
         assert from_pairs == build("f", S2, S2, {"s0": "s1", "s1": "s1"})
 
 
+def test_map_rows_name_the_unknown_point():
+    # the point is looked up before the value, each with point_index's message
+    cases = [
+        ({"zz": "0"}, "undeclared point 'zz' in space 'sierpinski'"),
+        ({"s0": "7"}, "undeclared point '7' in space 'discrete2'"),
+        ({"s0": "0", "zz": "7"}, "undeclared point 'zz' in space 'sierpinski'"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError) as info:
+            make_map("f", S2, D2, rows)
+        assert str(info.value) == message
+
+
 def test_make_map_classifies_totality():
     assert make_map("f", S2, D2, {"s0": "0", "s1": "1"}).is_total
     assert not make_map("f", S2, D2, {"s0": "0"}).is_total
