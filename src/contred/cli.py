@@ -9,6 +9,11 @@ usage or corpus errors, 3 exhausted search/capacity budgets.  Search
 budgets obey ``--budget`` first, then the ``CONTRED_BUDGET`` environment
 variable.  Every command reads its files afresh, but a text read before in
 the same process reuses the items parsed from it.
+
+``COMMANDS`` lists every command once.  ``main`` reads a well-formed line
+from that table alone (:func:`_read`) and hands any other line to
+argparse, whose parser is built from the same table; so help and every
+usage error are argparse's own.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import functools
 import os
 import sys
 from collections import OrderedDict
+from typing import Callable, NamedTuple
 
 from .corpus import Corpus, corpus_from_items, parse, serialize
 from .errors import CapacityError, ContredError, CorpusError
@@ -69,10 +75,14 @@ def _load_corpus(files: list[str]) -> Corpus:
     parsed = []
     for path in files:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            # unbuffered bytes are read faster than a text stream opens
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
         except OSError as exc:
             raise CorpusError(f"cannot read {path!r}: {exc}") from exc
+        text = data.decode("utf-8")
+        if "\r" in text:  # universal newlines, as a text stream reads them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         parsed.append((path, _parse_once(text)))
     if len(parsed) == 1:
         return parsed[0][1]
@@ -91,11 +101,13 @@ def _load_corpus(files: list[str]) -> Corpus:
 
 def _resolve_items(args) -> list:
     """Look up the items a command names in the corpora it names."""
-    names = [a for a in args.rest if not a.endswith(".clt")]
+    names, files = [], []
+    for a in args.rest:
+        (files if a.endswith(".clt") else names).append(a)
     if args.count is not None and len(names) != args.count:
         wanted = "one item name" if args.count == 1 else "exactly two item names"
         raise CorpusError(f"{args.command} takes {wanted}")
-    corpus = _load_corpus([a for a in args.rest if a.endswith(".clt")])
+    corpus = _load_corpus(files)
     items = []
     for name in names:
         try:
@@ -183,10 +195,10 @@ def _cmd_poset(args, items) -> int:
     if args.dot:
         print(to_dot(po), end="")
         return 0
-    for c in range(len(po.classes)):
-        print(f"class {c}: {po.class_label(c)}")
-    for a, b in po.hasse:
-        print(f"cover: {a} < {b}")
+    lines = [f"class {c}: {po.class_label(c)}" for c in range(len(po.classes))]
+    lines += [f"cover: {a} < {b}" for a, b in po.hasse]
+    if lines:
+        print("\n".join(lines))
     return 0
 
 
@@ -208,6 +220,10 @@ def _cmd_admissible(args, items) -> int:
 
 
 def _cmd_search(args, items) -> int:
+    if args.max_points < 0:
+        raise CorpusError(f"--max-points is a number of points, not {args.max_points}")
+    if args.bas is not None and args.bas < 0:
+        raise CorpusError(f"--bas takes a natural number, not {args.bas}")
     have_pair = args.lev is not None or args.bas is not None
     if args.antichain is not None:
         if have_pair:
@@ -234,82 +250,186 @@ def _cmd_search(args, items) -> int:
     return 0
 
 
+class _Opt(NamedTuple):
+    """One option of a command; ``type`` None makes it a switch."""
+
+    flag: str
+    type: Callable | None = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+
+
+class _Command(NamedTuple):
+    """One command: ``relations`` are the choices of its first positional
+    (None: it has none), ``count`` how many item names it takes (None: any
+    number) and ``takes`` the kinds of item it works on (None: it reads no
+    items and has no positionals, so any given are a usage error)."""
+
+    handler: Callable
+    help: str
+    relations: tuple | None
+    options: tuple[_Opt, ...]
+    count: int | None = None
+    takes: tuple | None = ("map", "problem")
+
+
+_RELATIONS = ("le0", "le2", "lect")
+_BUDGET = _Opt("--budget", int)
+
+# the one description of the command line: build_parser and _read both
+# read it
+COMMANDS = {
+    "check": _Command(
+        _cmd_check, "decide one reducibility, with witness", _RELATIONS,
+        (_Opt("--cap", int, 3), _Opt("--witness", None, False), _BUDGET), count=2,
+    ),
+    "invariants": _Command(_cmd_invariants, "level and basesize table", None, (), count=1),
+    "sup": _Command(_cmd_sup, "join of maps or problems", ("le0", "le2"), (_Opt("--name"),)),
+    "inf": _Command(
+        _cmd_inf, "meet of total maps with one codomain", None, (_Opt("--name"),),
+        takes=("map",),
+    ),
+    "poset": _Command(
+        _cmd_poset, "degree poset, plain or DOT", _RELATIONS,
+        (_Opt("--cap", int, 3), _Opt("--dot", None, False), _BUDGET),
+    ),
+    "decompose": _Command(
+        _cmd_decompose, "slice a map below its level sets", None,
+        (_Opt("--thresholds", required=True), _BUDGET), count=1, takes=("map",),
+    ),
+    "admissible": _Command(
+        _cmd_admissible, "compare against the full continuous join", None, (_BUDGET,),
+        count=1, takes=("map",),
+    ),
+    "search": _Command(
+        _cmd_search, "hunt for invariant witnesses or antichains", None,
+        (_Opt("--lev"), _Opt("--bas", int), _Opt("--antichain", int),
+         _Opt("--relation", default="le2", choices=_RELATIONS), _Opt("--max-points", int, 8),
+         _Opt("--seed", int, required=True), _BUDGET),
+        takes=None,
+    ),
+}
+
+
+def _reader(name: str, command: _Command) -> tuple[dict, dict, list]:
+    """What :func:`_read` needs of a command: its options by flag, each
+    with the attribute it sets; the namespace of a line that gives no
+    option; the attributes of its required options."""
+    flags = {o.flag: (o.flag[2:].replace("-", "_"), o) for o in command.options}
+    defaults = {dest: o.default for dest, o in flags.values()}
+    defaults.update(command=name, handler=command.handler, count=command.count,
+                    takes=command.takes)
+    return flags, defaults, [dest for dest, o in flags.values() if o.required]
+
+
+_READERS = {name: _reader(name, command) for name, command in COMMANDS.items()}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and every call of ``main`` gets a fresh namespace."""
+    """The command-line parser, built once per process from ``COMMANDS``:
+    parsing leaves it unchanged, and every call of ``main`` gets a fresh
+    namespace."""
     top = argparse.ArgumentParser(
         prog="contred",
         description="Reducibility degrees of maps between finite spaces.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, handler, count=None, takes=("map", "problem"), budget=True):
-        # count: how many item names the command takes (None: any number);
-        # takes: the kinds of item it works on (None: it reads no items and
-        # has no positionals, so any given are a usage error)
-        if takes:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.relations:
+            p.add_argument("relation", choices=command.relations)
+        if command.takes:
             p.add_argument("rest", nargs="*", metavar="ITEM|FILE.clt")
-        if budget:
-            p.add_argument("--budget", type=int, default=None)
-        p.set_defaults(handler=handler, count=count, takes=takes)
-
-    p = sub.add_parser("check", help="decide one reducibility, with witness")
-    p.add_argument("relation", choices=["le0", "le2", "lect"])
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--witness", action="store_true")
-    common(p, _cmd_check, count=2)
-
-    p = sub.add_parser("invariants", help="level and basesize table")
-    common(p, _cmd_invariants, count=1, budget=False)
-
-    p = sub.add_parser("sup", help="join of maps or problems")
-    p.add_argument("relation", choices=["le0", "le2"])
-    p.add_argument("--name", default=None)
-    common(p, _cmd_sup, budget=False)
-
-    p = sub.add_parser("inf", help="meet of total maps with one codomain")
-    p.add_argument("--name", default=None)
-    common(p, _cmd_inf, takes=("map",), budget=False)
-
-    p = sub.add_parser("poset", help="degree poset, plain or DOT")
-    p.add_argument("relation", choices=["le0", "le2", "lect"])
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--dot", action="store_true")
-    common(p, _cmd_poset)
-
-    p = sub.add_parser("decompose", help="slice a map below its level sets")
-    p.add_argument("--thresholds", required=True)
-    common(p, _cmd_decompose, count=1, takes=("map",))
-
-    p = sub.add_parser("admissible", help="compare against the full continuous join")
-    common(p, _cmd_admissible, count=1, takes=("map",))
-
-    p = sub.add_parser("search", help="hunt for invariant witnesses or antichains")
-    p.add_argument("--lev", default=None)
-    p.add_argument("--bas", type=int, default=None)
-    p.add_argument("--antichain", type=int, default=None)
-    p.add_argument("--relation", choices=["le0", "le2", "lect"], default="le2")
-    p.add_argument("--max-points", type=int, default=8, dest="max_points")
-    p.add_argument("--seed", type=int, required=True)
-    common(p, _cmd_search, takes=None)
-
+        for o in command.options:
+            if o.type is None:
+                p.add_argument(o.flag, action="store_true")
+            else:
+                p.add_argument(o.flag, type=o.type, default=o.default,
+                               choices=o.choices, required=o.required)
+        p.set_defaults(handler=command.handler, count=command.count, takes=command.takes)
     return top
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments argparse reads from ``argv``; a line it rejects, or
+    asks for help with, raises ``SystemExit`` after argparse has printed."""
     parser = build_parser()
-    try:
-        # argparse fills the item list before the first option, so item
-        # names after an option come back as leftovers
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            if not args.takes or any(a.startswith("-") for a in extra):
-                parser.error("unrecognized arguments: " + " ".join(extra))
-            args.rest += extra
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+    # argparse fills the item list before the first option, so item names
+    # after an option come back as leftovers
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if not args.takes or any(a.startswith("-") for a in extra):
+            parser.error("unrecognized arguments: " + " ".join(extra))
+        args.rest += extra
+    return args
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """:func:`_parse_args` of a plainly well-formed ``argv``, read from
+    ``COMMANDS`` alone; None for any other line.
+
+    A plain line is a command name, then its known long options written in
+    full (a value option followed by a value that does not start with
+    ``-``), its relation as the first positional and its items anywhere,
+    with its required options present.  Help, ``--opt=value``,
+    abbreviations, values starting with ``-`` and every usage error are
+    left to argparse.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags, defaults, required = _READERS[argv[0]]
+    got = defaults.copy()
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            positionals.append(token)
+            continue
+        known = flags.get(token)
+        if known is None:
+            return None
+        dest, o = known
+        if o.type is None:
+            got[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            got[dest] = value = o.type(value)
+        except ValueError:
+            return None
+        if o.choices and value not in o.choices:
+            return None
+    if command.relations:
+        if not positionals or positionals[0] not in command.relations:
+            return None
+        got["relation"] = positionals.pop(0)
+    if command.takes:
+        got["rest"] = positionals
+    elif positionals:
+        return None
+    for dest in required:
+        if got[dest] is None:
+            return None
+    args = argparse.Namespace()
+    args.__dict__.update(got)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+            return 0 if code == 0 else 2
     try:
         items = _resolve_items(args) if args.takes else []
         if "budget" in args:

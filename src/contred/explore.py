@@ -124,29 +124,31 @@ def degree_poset(
     n = len(items)
     joins = relation != "lect"
     # bitmasks over item indices: the representatives above representative
-    # r, the earlier ones below it, and r's class
-    up, down, members = [0] * n, [0] * n, [0] * n
+    # r and the earlier ones below it; and r's class, in item order
+    up, down = [0] * n, [0] * n
+    members: dict[int, list[int]] = {}
     reps: list[int] = []
 
-    for i in range(n):
+    for i, x in enumerate(items):
         row = col = 0
         joinable = joins
         for r in reps:
-            row |= (decide(items[i], items[r], relation, budget, cap) is not None) << r
-            col |= (decide(items[r], items[i], relation, budget, cap) is not None) << r
+            y = items[r]
+            row |= (decide(x, y, relation, budget, cap) is not None) << r
+            col |= (decide(y, x, relation, budget, cap) is not None) << r
             if joinable and (row & col) >> r & 1:
                 # an item that answers against an earlier representative
                 # unlike r joins nothing: as a representative, its row
                 # breaks transitivity below
                 joinable = not ((row ^ up[r]) | (col ^ down[r])) & ((1 << r) - 1)
                 if joinable:
-                    members[r] |= 1 << i
+                    members[r].append(i)
                     break
         else:
             bit = 1 << i
-            if decide(items[i], items[i], relation, budget, cap) is not None:
+            if decide(x, x, relation, budget, cap) is not None:
                 row, col = row | bit, col | bit
-            up[i], down[i], members[i] = row, col, bit
+            up[i], down[i], members[i] = row, col, [i]
             for r in _bits(col):
                 up[r] |= bit
             reps.append(i)
@@ -162,23 +164,38 @@ def degree_poset(
                     f"{names[r]!r}, {names[j]!r}, {names[k]!r}"
                 )
 
-    # a class is the members of the representatives that share a row, the
-    # mutually reducible ones; only lect, never joining, has several
-    classes = []
-    for r in reps:
-        same = [t for t in reps if up[t] == up[r]]
-        if same[0] == r:
-            classes.append(tuple(sorted(i for t in same for i in _bits(members[t]))))
-    classes.sort(key=lambda c: sorted(names[i] for i in c))
-    above = [
-        sum(1 << b for b, cb in enumerate(classes) if up[ca[0]] >> cb[0] & 1)
-        for ca in classes
-    ]
+    # a class is the members of a representative that joins; under lect,
+    # which never joins, it is the representatives that share a row
+    if joins:
+        classes = [tuple(members[r]) for r in reps]
+    else:
+        classes = []
+        for r in reps:
+            same = [t for t in reps if up[t] == up[r]]
+            if same[0] == r:
+                classes.append(tuple(sorted(i for t in same for i in members[t])))
+    # by their sorted member names, which the least name decides: names
+    # are distinct
+    classes.sort(key=lambda c: min([names[i] for i in c]))
+    # each class's bit, at its first member, which is a representative
+    class_bit = [0] * n
+    for a, c in enumerate(classes):
+        class_bit[c[0]] = 1 << a
+    above, hasse = [], []
+    for c in classes:
+        row, mask = 0, up[c[0]]
+        for r in reps:
+            if mask >> r & 1:
+                row |= class_bit[r]
+        above.append(row)
     strict = [row & ~(1 << a) for a, row in enumerate(above)]
-    hasse = [
-        (a, b) for a, row in enumerate(strict) for b in _bits(row)
-        if not any(strict[c] >> b & 1 for c in _bits(row))
-    ]
+    for a, row in enumerate(strict):
+        # b covers a when no class strictly between them lies above a
+        through = 0
+        for c in _bits(row):
+            through |= strict[c]
+        for b in _bits(row & ~through):
+            hasse.append((a, b))
     return DegreePoset(items, relation, tuple(classes), tuple(above), tuple(hasse))
 
 

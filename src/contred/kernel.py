@@ -42,7 +42,7 @@ class Budget:
 RECORDS_LIMIT = 4096
 
 
-def _recorded(records: dict, key, budget: Budget, work, *args):
+def _recorded(records: dict, key, budget: Budget | None, work, *args):
     """``work(*args)``, kept in ``records`` under ``key``.
 
     A record is the answer, None included, with the nodes of ``budget``
@@ -52,14 +52,25 @@ def _recorded(records: dict, key, budget: Budget, work, *args):
     search does, with ``budget.used`` one past the limit.  So ``work`` must
     answer and spend alike for equal keys.  An exception is never kept,
     and a dict past ``RECORDS_LIMIT`` records drops its oldest first.
+
+    ``budget`` None stands for a fresh default ``Budget()``, which is made
+    only when ``work`` runs and is then passed to it after ``args``; a
+    repeat within the default limit returns its answer without one.
     """
     got = records.get(key)
     if got is not None:
         found, nodes = got
-        nodes += budget.used
-        if nodes <= budget.limit:
-            budget.used = nodes
-            return found
+        if budget is None:
+            if nodes <= DEFAULT_BUDGET:
+                return found
+        else:
+            nodes += budget.used
+            if nodes <= budget.limit:
+                budget.used = nodes
+                return found
+    if budget is None:
+        budget = Budget()
+        args += (budget,)
     start = budget.used
     found = work(*args)
     if got is None and len(records) >= RECORDS_LIMIT:

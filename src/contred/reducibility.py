@@ -547,15 +547,18 @@ def decide(
     Each answer is kept by :func:`contred.kernel._recorded` in ``a``'s
     ``__dict__``, keyed by ``(relation, cap, b)`` for ``lect`` and
     ``(relation, None, b)`` otherwise, and dies with ``a``; a repeated
-    call returns the same object.
+    call returns the same object.  Under the default budget a repeat
+    builds no :class:`Budget`.
     """
-    nodes = _as_budget(budget)
     records = a.__dict__.get("_decided") or a.__dict__.setdefault("_decided", {})
     key = (relation, cap if relation == "lect" else None, b)
-    return _recorded(records, key, nodes, _decide, a, b, relation, nodes, cap)
+    if budget is None:
+        return _recorded(records, key, None, _decide, a, b, relation, cap)
+    nodes = _as_budget(budget)
+    return _recorded(records, key, nodes, _decide, a, b, relation, cap, nodes)
 
 
-def _decide(a, b, relation: str, nodes: Budget, cap: int):
+def _decide(a, b, relation: str, cap: int, nodes: Budget):
     """:func:`decide` without the kept answers."""
     if isinstance(a, Problem) != isinstance(b, Problem):
         raise SpaceMismatchError("cannot compare a map with a problem")

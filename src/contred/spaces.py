@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from itertools import product as _iproduct
 
 from . import kernel
@@ -788,8 +789,13 @@ def problem(
                 f"member {m.name!r} of problem {name!r} has mismatched spaces"
             )
         uniq.setdefault(m.vec, m)
-    ordered = tuple(sorted(uniq.values(), key=lambda m: (m.name, m.table)))
-    return Problem(name, dom, cod, ordered)
+    # by name, then by table among equal names only, so that no other
+    # member builds its table
+    ordered: list[PartialMap] = []
+    for _, same in groupby(sorted(uniq.values(), key=lambda m: m.name), lambda m: m.name):
+        same = list(same)
+        ordered += sorted(same, key=lambda m: m.table) if len(same) > 1 else same
+    return Problem(name, dom, cod, tuple(ordered))
 
 
 def singleton_problem(f: PartialMap, name: str | None = None) -> Problem:

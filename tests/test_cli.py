@@ -3,11 +3,15 @@
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contred import cli, level, reducibility
+from contred import cli, kernel, level, reducibility
 from contred.cli import build_parser, main
 from contred.corpus import parse
 
@@ -200,6 +204,11 @@ def test_poset_dot_output(clt, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_a_poset_of_no_items_prints_nothing(clt, capsys):
+    assert main(["poset", "le2", clt]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 # -- decompose and admissible ----------------------------------------------
 
 
@@ -287,6 +296,21 @@ def test_search_exhaustion_is_exit_three(capsys):
     args = ["search", "--antichain", "2", "--max-points", "0", "--seed", "1"]
     assert main(args) == 3
     assert "budget exhausted: no antichain" in capsys.readouterr().err
+
+
+def test_negative_search_counts_are_usage_errors(capsys):
+    # as --budget -1 and --lev -1 are: exit 2, with the flag named
+    for argv, flag in (
+        (["search", "--lev", "1", "--bas", "1", "--seed", "1", "--max-points", "-1"],
+         "--max-points"),
+        (["search", "--antichain", "2", "--max-points", "-1", "--seed", "1"],
+         "--max-points"),
+        (["search", "--lev", "1", "--bas", "-1", "--seed", "1"], "--bas"),
+    ):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {flag} ") and out.err.endswith(" not -1\n")
 
 
 def test_search_rejects_positionals(capsys):
@@ -395,6 +419,28 @@ def test_a_no_the_profile_refutes_spends_no_budget(clt, capsys):
 
 
 # -- corpus loading --------------------------------------------------------
+
+
+def test_corpus_files_read_with_universal_newlines(tmp_path, capsys):
+    args = ["poset", "le2", "bottom", "flip", "ident", "konst"]
+    seen = []
+    for k, newline in enumerate(("\n", "\r\n", "\r")):
+        path = tmp_path / f"demo{k}.clt"
+        path.write_bytes(DEMO.replace("\n", newline).encode("utf-8"))
+        seen.append((main(args + [str(path)]), capsys.readouterr()))
+    assert seen[0][0] == 0 and seen[0][1].err == ""
+    assert seen[1] == seen[2] == seen[0]
+
+
+def test_a_corpus_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.clt"
+    path.write_bytes(b"space S\n  points \xff\nend\n")
+    assert main(["invariants", "S", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte\n"
+    )
 
 
 def test_merging_consistent_files(tmp_path, capsys):
@@ -634,3 +680,148 @@ def test_python_dash_m_runs_the_cli(module, lhs, rhs, verdict, code):
     fixtures = Path(__file__).parent / "golden" / "fixtures.clt"
     done = run_python("-m", module, "check", "le2", lhs, rhs, str(fixtures))
     assert (done.stdout, done.returncode) == (verdict + "\n", code), done.stderr
+
+
+def test_a_repeated_poset_builds_no_budget(clt, capsys, monkeypatch):
+    # under the default budget a kept answer is returned as it is
+    args = ["poset", "le2", "bottom", "flip", "ident", "konst", clt]
+    assert main(args) == 0
+    first = capsys.readouterr()
+
+    def refuse(self, limit=0):
+        raise AssertionError("built a Budget")
+
+    monkeypatch.setattr(kernel.Budget, "__init__", refuse)
+    assert main(args) == 0
+    assert capsys.readouterr() == first
+
+
+# -- the argv reader and argparse ------------------------------------------
+
+
+def _argparse(argv):
+    """What argparse makes of ``argv``, leftovers merged; None where it
+    rejects the line or prints help."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return cli._parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "le2", "a", "b", "c", "f.clt"],
+        ["poset", "le2", "--cap", "2", "a", "f.clt", "--dot", "--budget", "9"],
+        ["poset", "--dot", "lect", "a", "--cap", "2", "b", "f.clt", "g.clt"],
+        ["check", "le2", "a", "--witness", "b", "f.clt"],
+        ["check", "le0", "--budget", "0", "a", "b", "f.clt", "--witness", "--witness"],
+        ["invariants", "a", "f.clt"],
+        ["sup", "le2", "a", "b", "f.clt", "--name", "J"],
+        ["inf", "--name", "le2", "a", "f.clt"],
+        ["decompose", "a", "f.clt", "--thresholds", "1,2"],
+        ["admissible", "a", "f.clt"],
+        ["search", "--lev", "unbounded", "--bas", "2", "--seed", "3"],
+        ["search", "--antichain", "2", "--relation", "lect", "--max-points", "4",
+         "--seed", "5", "--budget", "7"],
+        ["poset", "le2"],
+        ["sup", "le0", ""],
+    ],
+)
+def test_plain_lines_are_read_as_argparse_reads_them(argv):
+    read = cli._read(argv)
+    assert read is not None
+    assert read == _argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, argparse_reads_it",
+    [
+        (["search", "--relation", "le9", "--seed", "1"], False),
+        (["sup", "le2", "a", "--name", "-x"], False),
+        (["poset", "le2", "--cap", "-x"], False),
+        (["poset", "le2", "a", "--cap"], False),
+        (["poset", "le9", "a"], False),
+        (["poset", "--dot", "a.clt"], False),
+        (["decompose", "a", "f.clt"], False),
+        (["search", "--lev", "2"], False),
+        (["search", "a", "--seed", "1"], False),
+        (["check", "le2", "a", "--dot"], False),
+        (["poset", "le2", "--help"], False),
+        (["poset", "le2", "--cap=2", "a"], True),
+        (["check", "le2", "--wit", "a", "b"], True),
+        (["search", "--lev", "-1", "--seed", "1"], True),
+        (["poset", "le2", "--cap", "-1", "a"], True),
+    ],
+)
+def test_other_lines_are_left_to_argparse(argv, argparse_reads_it):
+    assert cli._read(argv) is None
+    assert (_argparse(argv) is not None) == argparse_reads_it
+
+
+_OPTION_FLAGS = sorted({o.flag for c in cli.COMMANDS.values() for o in c.options})
+_VALUES = ["2", "0", "-1", "-x", "x", "1,2", "unbounded", "le2", "lect", "", "--", "-"]
+_WORDS = st.one_of(
+    st.sampled_from(list(cli.COMMANDS)),
+    st.sampled_from(["le0", "le2", "lect", "le9"]),
+    st.sampled_from(["flip", "step", "demo.clt", "x.clt", "a b"]),
+    st.sampled_from(_VALUES),
+    st.sampled_from(["--bogus", "-h", "--help", "-x", "--=2"]),
+)
+_FLAG_VALUE = st.tuples(st.sampled_from(_OPTION_FLAGS), st.sampled_from(_VALUES))
+# a chunk is one token, or an option with its value; "--opt=value"
+# spellings and abbreviations are one token each
+_CHUNKS = st.one_of(
+    _WORDS.map(lambda w: [w]),
+    st.sampled_from(_OPTION_FLAGS).map(lambda f: [f]),
+    _FLAG_VALUE.map(list),
+    _FLAG_VALUE.map(lambda t: ["=".join(t)]),
+    st.tuples(st.sampled_from(_OPTION_FLAGS), st.integers(3, 6)).map(lambda t: [t[0][: t[1]]]),
+)
+
+
+def _option_chunk(o):
+    """One option of a command, mostly with a good value."""
+    if o.type is None:
+        return st.just([o.flag])
+    good = o.choices[-1] if o.choices else "2"
+    return st.one_of(st.just(good), st.just(good), st.sampled_from(_VALUES)).map(
+        lambda v: [o.flag, v]
+    )
+
+
+@st.composite
+def _lines(draw):
+    """A command line of its own command's options, mostly with good
+    values, and its items, with at most one chunk from anywhere."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    parts = [_option_chunk(o) for o in command.options]
+    if command.takes:
+        parts.append(st.sampled_from([["flip"], ["demo.clt"]]))
+    chunks = draw(st.lists(st.one_of(parts), max_size=6))
+    if command.relations and draw(st.integers(0, 9)):
+        chunks.insert(0, [draw(st.sampled_from(command.relations))])
+    if draw(st.integers(0, 9)):
+        chunks += [[o.flag, "2"] for o in command.options if o.required]
+    if draw(st.booleans()):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(_CHUNKS))
+    return [name] + [token for c in chunks for token in c]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        _lines(),
+        _lines(),
+        st.lists(_CHUNKS, max_size=7).map(lambda chunks: [t for c in chunks for t in c]),
+    )
+)
+def test_the_reader_agrees_with_argparse(argv):
+    read, parsed = cli._read(argv), _argparse(argv)
+    if parsed is None:
+        assert read is None
+    elif read is not None:
+        assert read == parsed

@@ -446,3 +446,10 @@ def test_serialize_builds_no_name_table():
     serialize(c)
     for m in c.maps.values():
         assert "table" not in m.__dict__
+
+
+def test_parsing_a_problem_builds_no_member_table():
+    c = parse(SAMPLE)
+    assert [m.name for m in c.problems["duo"].members] == ["flip"]
+    for m in (*c.maps.values(), *c.problems["duo"].members):
+        assert "table" not in m.__dict__

@@ -298,3 +298,30 @@ def test_a_full_dict_drops_its_oldest_record_first(monkeypatch):
     _recorded(records, 2, budget, _work(budget, 2, 1, runs))
     _recorded(records, 5, budget, _work(budget, 5, 1, runs))
     assert list(records) == [3, 4, 5] and runs == [0, 1, 2, 3, 4, 5]
+
+
+def test_no_budget_is_a_fresh_default_one_made_only_when_work_runs(monkeypatch):
+    records, runs, given = {}, [], []
+
+    def work(answer, budget):
+        given.append(budget)
+        runs.append(answer)
+        budget.spend(3)
+        return answer
+
+    assert _recorded(records, "k", None, work, "yes") == "yes"
+    (fresh,) = given
+    assert (fresh.limit, fresh.used) == (kernel.DEFAULT_BUDGET, 3)
+    assert records == {"k": ("yes", 3)}
+
+    def refuse(self, limit=0):
+        raise AssertionError("built a Budget")
+
+    with monkeypatch.context() as m:
+        m.setattr(Budget, "__init__", refuse)
+        assert _recorded(records, "k", None, work, "other") == "yes"
+    assert runs == ["yes"]
+    # a record past the default limit runs anew, as a new search would
+    records["k"] = ("yes", kernel.DEFAULT_BUDGET + 1)
+    assert _recorded(records, "k", None, work, "again") == "again"
+    assert runs == ["yes", "again"] and records["k"] == ("again", 3)

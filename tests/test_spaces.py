@@ -455,3 +455,24 @@ def test_random_space_is_deterministic_and_valid(n, density, seed):
 def test_random_continuous_map_is_total_and_continuous(dom, cod, seed):
     f = random_continuous_map(dom, cod, seed=seed)
     assert f.is_total and is_continuous(f)
+
+
+def test_members_sharing_a_name_keep_their_order_by_table():
+    # the tables break ties among equal names, and only there
+    S = sierpinski()
+    a, b = S.points
+    maps = [
+        make_map(name, S, S, {a: x, b: y})
+        for name in ("m", "k", "m")
+        for x, y in ((b, a), (a, a), (b, b), (a, b))
+    ]
+    for order in (maps, maps[::-1], maps[3:] + maps[:3]):
+        uniq = {}
+        for m in order:
+            uniq.setdefault(m.vec, m)
+        want = tuple(sorted(uniq.values(), key=lambda m: (m.name, m.table)))
+        assert problem("P", S, S, order).members == want
+    same = [make_map("m", S, S, {a: x, b: y}) for x, y in ((b, b), (a, b), (a, a))]
+    members = problem("P", S, S, same).members
+    assert [m.table for m in members] == sorted(m.table for m in same)
+    assert all("table" in m.__dict__ for m in same)
