@@ -228,6 +228,8 @@ def _cmd_search(args, items) -> int:
     if args.antichain is not None:
         if have_pair:
             raise CorpusError("--antichain excludes --lev/--bas")
+        if args.antichain < 2:
+            raise CorpusError(f"--antichain needs 2 members or more, not {args.antichain}")
         fam = search_antichain(
             args.antichain,
             args.relation,

@@ -23,14 +23,15 @@ Grammar (one declaration block per item, ``#`` starts a comment)::
 ``below a b`` declares a below b; the reflexive-transitive closure is
 taken automatically.  A map without the ``partial`` marker must supply a
 row for every point, and a block ends at a line that is exactly ``end``.
-Map blocks are read straight into value vectors, one index lookup per
-name, and written back from them, rows in point-name order; no name
-table is built either way.  Serialization is canonical — rows, pairs and
-blocks are sorted, and a space's points keep their declaration order,
-which a ``Space`` compares — so ``serialize`` is a fixpoint under
-``parse``/``serialize`` round trips, and a witness printed for a corpus
-loads beside it.  Two corpora are equal exactly when their texts
-coincide once every space's points are sorted.
+Map blocks are read straight into value vectors and relation blocks into
+target bitmasks, one index lookup per name, and written back from them,
+rows in point-name order; no name table is built either way.
+Serialization is canonical — rows, pairs and blocks are sorted, and a
+space's points keep their declaration order, which a ``Space`` compares
+— so ``serialize`` is a fixpoint under ``parse``/``serialize`` round
+trips, and a witness printed for a corpus loads beside it.  Two corpora
+are equal exactly when their texts coincide once every space's points
+are sorted.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .spaces import (
     Problem,
     Relation,
     Space,
+    _bits,
     _vec_map,
     build_space,
     problem,
-    relation,
 )
 
 
@@ -200,25 +201,24 @@ def parse(text: str) -> Corpus:
             pool[name] = problem(name, dom, cod, members.values())
             continue
 
-        rows: dict[str, list[str]] = {}
+        # rows go straight into target bitmasks; a given row is never 0
+        rows = [0] * dom.n
         for lineno, parts in block(head, name, opened):
             if len(parts) < 3 or parts[1] != "->":
                 raise CorpusError("expected 'POINT -> POINT...'", lineno)
-            if parts[0] not in dom.index:
-                raise CorpusError(
-                    f"{parts[0]!r} is not a point of {dom.name!r}", lineno
-                )
-            targets = list(dict.fromkeys(parts[2:]))
-            for p in targets:
-                if p not in cod.index:
-                    raise CorpusError(
-                        f"{p!r} is not a point of {cod.name!r}", lineno
-                    )
-            if parts[0] in rows:
+            i = dom.index.get(parts[0])
+            if i is None:
+                raise CorpusError(f"{parts[0]!r} is not a point of {dom.name!r}", lineno)
+            row = 0
+            for p in parts[2:]:
+                j = cod.index.get(p)
+                if j is None:
+                    raise CorpusError(f"{p!r} is not a point of {cod.name!r}", lineno)
+                row |= 1 << j
+            if rows[i]:
                 raise CorpusError(f"duplicate row for {parts[0]!r}", lineno)
-            rows[parts[0]] = targets
-        pairs = [(p, v) for p, vs in rows.items() for v in vs]
-        pool[name] = relation(name, dom, cod, pairs)
+            rows[i] = row
+        pool[name] = Relation(name, dom, cod, tuple(rows))
     return corpus
 
 
@@ -250,17 +250,17 @@ def _map_block(m: PartialMap) -> str:
 
 
 def _relation_block(r: Relation) -> str:
-    lines = [
+    head = (
         f"relation {_token_safe(r.name, 'relation name')} : "
         f"{r.dom.name} -> {r.cod.name}"
+    )
+    pts, vals, rows = r.dom.points, r.cod.points, r.rows
+    lines = [
+        f"  {pts[i]} -> " + " ".join(sorted(vals[j] for j in _bits(rows[i])))
+        for i in r.dom.by_name
+        if rows[i]
     ]
-    by_source: dict[str, list[str]] = {}
-    for x, y in r.pairs:
-        by_source.setdefault(x, []).append(y)
-    for x in sorted(by_source):
-        lines.append(f"  {x} -> " + " ".join(sorted(by_source[x])))
-    lines.append("end")
-    return "\n".join(lines)
+    return "\n".join([head, *lines, "end"])
 
 
 def _problem_block(p: Problem) -> str:

@@ -53,9 +53,7 @@ from .spaces import (
     chain,
     discrete,
     indiscrete,
-    partial_map,
     problem,
-    total_map,
 )
 
 # -- degree posets --------------------------------------------------------
@@ -295,18 +293,14 @@ def mod_chain_map(length: int, modulus: int, name: str | None = None) -> Partial
     """
     if length < 0 or modulus < 1:
         raise ValueError("length >= 0 and modulus >= 1 required")
-    dom = chain(length)
-    cod = discrete(modulus)
-    rows = {p: str(i % modulus) for i, p in enumerate(dom.points)}
-    return total_map(name or f"mod{modulus}x{length}", dom, cod, rows)
+    vec = [i % modulus for i in range(length)]
+    return _vec_map(name or f"mod{modulus}x{length}", chain(length), discrete(modulus), vec)
 
 
 def injective_indiscrete_map(k: int, name: str | None = None) -> PartialMap:
     """An injective labeling of an indiscrete space; level is unbounded
     for k >= 2, basesize is k."""
-    dom = indiscrete(k)
-    cod = discrete(k)
-    return total_map(name or f"blur{k}", dom, cod, {p: p for p in dom.points})
+    return _vec_map(name or f"blur{k}", indiscrete(k), discrete(k), range(k))
 
 
 # -- random generators ----------------------------------------------------
@@ -339,8 +333,8 @@ def random_map(dom: Space, cod: Space, seed: int = 0, name: str | None = None) -
     if cod.n == 0 and dom.n > 0:
         raise ValueError("no total map into the empty space")
     rng = _rng("map", dom.name, cod.name, seed)
-    rows = {p: rng.choice(cod.points) for p in dom.points}
-    return total_map(name or f"rm{seed}[{dom.name}>{cod.name}]", dom, cod, rows)
+    vec = [rng.randrange(cod.n) for _ in range(dom.n)]
+    return _vec_map(name or f"rm{seed}[{dom.name}>{cod.name}]", dom, cod, vec)
 
 
 def random_partial_map(
@@ -351,12 +345,12 @@ def random_partial_map(
     name: str | None = None,
 ) -> PartialMap:
     rng = _rng("pmap", dom.name, cod.name, seed, defined_density)
-    rows = {
-        p: rng.choice(cod.points)
-        for p in dom.points
-        if cod.n and rng.random() < defined_density
-    }
-    return partial_map(name or f"rp{seed}[{dom.name}>{cod.name}]", dom, cod, rows)
+    # the test comes first, and only a defined point draws its value
+    vec = [
+        rng.randrange(cod.n) if cod.n and rng.random() < defined_density else -1
+        for _ in range(dom.n)
+    ]
+    return _vec_map(name or f"rp{seed}[{dom.name}>{cod.name}]", dom, cod, vec)
 
 
 def random_continuous_map(
@@ -419,7 +413,7 @@ def search_lev_bas_witness(
 
     candidates: list[PartialMap] = []
     if lev_t == LevelValue(0) and target_bas == 0:
-        candidates.append(total_map("void", chain(0), discrete(1), {}))
+        candidates.append(_vec_map("void", chain(0), discrete(1), ()))
     rng = _rng("search", lev_t, target_bas, seed)
     for _ in range(attempts if max_points >= 1 else 0):
         n = rng.randint(1, max_points)
@@ -447,12 +441,7 @@ def _antichain_catalog(
         cod = discrete(size)
         dot = indiscrete(1)
         if max_points >= 1:
-            out.append(
-                tuple(
-                    total_map(f"k{v}", dot, cod, {"0": str(v)})
-                    for v in range(size)
-                )
-            )
+            out.append(tuple(_vec_map(f"k{v}", dot, cod, (v,)) for v in range(size)))
         return out
     # Incomparable invariant profiles: unbounded level with small
     # basesize against descending-level ascending-basesize chains.

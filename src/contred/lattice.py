@@ -32,14 +32,13 @@ from .spaces import (
     Space,
     _bits,
     _restrict_mask,
+    _subspace,
     _vec_map,
     choice_functions,
     coproduct,
     problem,
     product,
     product_space,
-    relation,
-    subspace,
 )
 
 SELECTION_CAP = 10_000
@@ -330,8 +329,7 @@ def fibered_with_projections(
             agreeing.append(a)
             values.extend(vals)
     label = name or "inf0(" + ",".join(m.name for m in maps) + ")"
-    pts = prod.space.points
-    sub = subspace(prod.space, [pts[a] for a in agreeing], name=f"eq[{label}]")
+    sub = _subspace(prod.space, sum(1 << a for a in agreeing), f"eq[{label}]")
     projections = tuple(
         _vec_map(f"pr{k}[{label}]", sub, m.dom, [pr.vec[a] for a in agreeing])
         for k, (m, pr) in enumerate(zip(maps, prod.projections))
@@ -484,11 +482,12 @@ def distribute2_relation(
     members = [choice_functions(s, cap, s.name) for s in fam.items]
     Q = sup2_problem(members, fam.tags, cap=cap)
     _replayed(P, Q, witness, "witness does not reduce the choice problems")
-    masks = _preimages(rel.dom, rel.dom.mask_of(rel.targets), witness.gvec, fam)
-    index = rel.dom.index
-    cuts = [[(x, y) for x, y in rel.pairs if m >> index[x] & 1] for m in masks]
+    rows = rel.rows
+    live = sum(1 << i for i, r in enumerate(rows) if r)
+    masks = _preimages(rel.dom, live, witness.gvec, fam)
+    cuts = [tuple(r if m >> i & 1 else 0 for i, r in enumerate(rows)) for m in masks]
     parts = tagged(
-        [relation(f"{rel.name}_{t}", rel.dom, rel.cod, c) for t, c in zip(fam.tags, cuts)],
+        [Relation(f"{rel.name}_{t}", rel.dom, rel.cod, c) for t, c in zip(fam.tags, cuts)],
         fam.tags,
     )
     pieces = [choice_functions(r, cap, r.name) for r in parts.items]

@@ -7,8 +7,10 @@ is continuous iff it is monotone with respect to ``below``.  All
 operations (closure, subspace, product, coproduct, composition, ...) are
 phrased in terms of point indices: sets are bitmasks, a map is the vector
 of its value indices, and product and coproduct points are found by
-arithmetic on the factors' indices.  Point names are read and written
-only where maps are built from rows or shown as rows.
+arithmetic on the factors' indices; a relation holds the bitmask of each
+point's targets.  Point names are read and written only where maps and
+relations are built from rows or shown as rows, and where products and
+coproducts name their points, once, when first built.
 
 Partiality stands in for subspaces: a partial map is a map whose domain
 of definition carries the subspace structure, so restriction never has to
@@ -17,6 +19,7 @@ build a new space.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -445,7 +448,7 @@ def constant_map(dom: Space, cod: Space, value: str, name: str | None = None) ->
 
 def empty_map(dom: Space, cod: Space, name: str | None = None) -> PartialMap:
     """The nowhere-defined map between two spaces."""
-    return PartialMap(name or f"empty_{dom.name}_{cod.name}", dom, cod, ())
+    return _vec_map(name or f"empty_{dom.name}_{cod.name}", dom, cod, [-1] * dom.n)
 
 
 # -- continuity -----------------------------------------------------------
@@ -656,8 +659,12 @@ def coproduct(
 
 def subspace(space: Space, subset: Iterable[str], name: str | None = None) -> Space:
     """The induced preorder on a subset of points (order inherited)."""
-    m = space.mask_of(subset)
-    keep = [i for i in range(space.n) if (m >> i) & 1]
+    return _subspace(space, space.mask_of(subset), name)
+
+
+def _subspace(space: Space, m: int, name: str | None) -> Space:
+    """:func:`subspace` on the points of the bitmask ``m``."""
+    keep = list(_bits(m))
     pos = {i: k for k, i in enumerate(keep)}
     pts = tuple(space.points[i] for i in keep)
     up = []
@@ -804,42 +811,46 @@ def singleton_problem(f: PartialMap, name: str | None = None) -> Problem:
 
 @dataclass(frozen=True, eq=False)
 class Relation(_Value):
-    """A finite relation between the points of two spaces."""
+    """A finite relation between the points of two spaces: ``rows[i]`` is
+    the bitmask of the targets of domain point i.  ``pairs`` and ``targets``
+    are its named views, derived on first use; :func:`relation` builds it
+    from name pairs."""
 
     name: str
     dom: Space
     cod: Space
-    pairs: tuple[tuple[str, str], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for x, y in self.pairs:
-            self.dom.point_index(x)
-            self.cod.point_index(y)
+        if len(self.rows) != self.dom.n or any(r >> self.cod.n for r in self.rows):
+            raise ValueError(f"rows out of range in relation {self.name!r}")
 
     def _key(self) -> tuple:
-        return (self.name, self.dom, self.cod, self.pairs)
+        return (self.name, self.dom, self.cod, self.rows)
 
     def __repr__(self) -> str:
-        return f"Relation({self.name!r}, {len(self.pairs)} pairs)"
+        return f"Relation({self.name!r}, {sum(map(int.bit_count, self.rows))} pairs)"
+
+    @_once
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        pts, vals = self.dom.points, self.cod.points
+        return tuple((pts[i], vals[j]) for i, r in enumerate(self.rows) for j in _bits(r))
 
     @_once
     def targets(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for x, y in self.pairs:
-            out.setdefault(x, []).append(y)
+        pts, vals = self.dom.points, self.cod.points
         return {
-            x: tuple(sorted(set(ys), key=self.cod.point_index))
-            for x, ys in out.items()
+            pts[i]: tuple(vals[j] for j in _bits(r)) for i, r in enumerate(self.rows) if r
         }
 
 
 def relation(
     name: str, dom: Space, cod: Space, pairs: Iterable[tuple[str, str]]
 ) -> Relation:
-    uniq = sorted(
-        set(pairs), key=lambda p: (dom.point_index(p[0]), cod.point_index(p[1]))
-    )
-    return Relation(name, dom, cod, tuple(uniq))
+    rows = [0] * dom.n
+    for x, y in pairs:
+        rows[dom.point_index(x)] |= 1 << cod.point_index(y)
+    return Relation(name, dom, cod, tuple(rows))
 
 
 def choice_functions(
@@ -852,18 +863,13 @@ def choice_functions(
     nowhere-defined map.  The member count multiplies quickly, so it is
     checked against ``cap`` before anything is materialized.
     """
-    sources = [x for x in rel.dom.points if x in rel.targets]
-    count = 1
-    for x in sources:
-        count *= len(rel.targets[x])
-        if count > cap:
-            raise CapacityError(
-                f"relation {rel.name!r} has more than {cap} choice functions"
-            )
+    # a point without targets has the one choice -1, undefined
+    choices = [tuple(_bits(r)) or (-1,) for r in rel.rows]
+    if math.prod(map(len, choices)) > cap:
+        raise CapacityError(f"relation {rel.name!r} has more than {cap} choice functions")
     base = name or f"cf({rel.name})"
-    members = []
-    for k, picks in enumerate(_iproduct(*(rel.targets[x] for x in sources))):
-        members.append(
-            PartialMap(f"{base}.c{k}", rel.dom, rel.cod, tuple(zip(sources, picks)))
-        )
+    members = [
+        _vec_map(f"{base}.c{k}", rel.dom, rel.cod, vec)
+        for k, vec in enumerate(_iproduct(*choices))
+    ]
     return problem(base, rel.dom, rel.cod, members)

@@ -313,6 +313,16 @@ def test_negative_search_counts_are_usage_errors(capsys):
         assert out.err.startswith(f"error: {flag} ") and out.err.endswith(" not -1\n")
 
 
+@pytest.mark.parametrize("size", ["1", "0", "-1"])
+def test_antichain_sizes_below_two_are_usage_errors(capsys, size):
+    # as with the other search counts, a size below two is a usage error
+    # that names its flag: exit 2, nothing on stdout
+    assert main(["search", "--antichain", size, "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --antichain ") and out.err.endswith(f" not {size}\n")
+
+
 def test_search_rejects_positionals(capsys):
     # search reads no corpus, so names and files are usage errors, even
     # when they exist nowhere

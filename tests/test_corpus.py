@@ -297,6 +297,47 @@ def test_malformed_map_blocks_keep_message_and_line(block, line, message, newlin
     assert str(e) == f"line {line}: {message}"
 
 
+RELATION_ERRORS = [
+    # (case, the block from line 7 on, line of the error, message)
+    ("no-arrow", "relation r : X -> Y\n  x u v\nend\n", 8, "expected 'POINT -> POINT...'"),
+    ("no-target", "relation r : X -> Y\n  x ->\nend\n", 8, "expected 'POINT -> POINT...'"),
+    ("unknown-source", "relation r : X -> Y\n  x -> u\n  z -> u\nend\n", 9,
+     "'z' is not a point of 'X'"),
+    ("unknown-target", "relation r : X -> Y\n  x -> u x v\nend\n", 8,
+     "'x' is not a point of 'Y'"),
+    ("unknown-both", "relation r : X -> Y\n  z -> w\nend\n", 8, "'z' is not a point of 'X'"),
+    ("duplicate", "relation r : X -> Y\n  x -> u\n  y -> u\n  x -> v\nend\n", 10,
+     "duplicate row for 'x'"),
+    ("duplicate-same", "relation r : X -> Y\n  x -> u v\n  x -> v u\nend\n", 9,
+     "duplicate row for 'x'"),
+    ("duplicate-unknown-target", "relation r : X -> Y\n  x -> u\n  x -> w\nend\n", 9,
+     "'w' is not a point of 'Y'"),
+    ("never-ends", "relation r : X -> Y\n  x -> u\n  y -> v\n", 7, "relation 'r' never ends"),
+    ("never-ends-empty", "relation r : X -> Y\n", 7, "relation 'r' never ends"),
+    ("comment", "relation r : X -> Y\n  # a note\n\n  x -> u  # why\n  y -> w\nend\n", 11,
+     "'w' is not a point of 'Y'"),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "block, line, message",
+    [c[1:] for c in RELATION_ERRORS],
+    ids=[c[0] for c in RELATION_ERRORS],
+)
+def test_malformed_relation_blocks_keep_message_and_line(block, line, message, newline):
+    e = err((MAP_PRE + block).replace("\n", newline))
+    assert e.line == line
+    assert str(e) == f"line {line}: {message}"
+
+
+def test_a_comment_among_relation_rows_is_ignored():
+    text = MAP_PRE + "relation r : X -> Y\n  # a note\n  y -> v u  # why\n\n  x -> u\nend\n"
+    for newline in ("\n", "\r\n"):
+        r = parse(text.replace("\n", newline)).relations["r"]
+        assert r.pairs == (("x", "u"), ("y", "u"), ("y", "v"))
+
+
 def test_a_comment_among_map_rows_is_ignored():
     text = MAP_PRE + "map m : X -> Y\n  # a note\n  y -> v  # why\n\n  x -> u\nend\n"
     for newline in ("\n", "\r\n"):

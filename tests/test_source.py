@@ -103,3 +103,23 @@ def test_only_the_kernel_counts_nodes():
     }
     assert any(name.startswith("kernel.py:") for name in found)
     assert [name for name in found if not name.startswith("kernel.py:")] == []
+
+
+NAME_CONSTRUCTORS = {"make_map", "total_map", "partial_map", "relation", "PartialMap"}
+
+
+def test_only_the_boundary_builds_from_point_names():
+    # maps and relations are built from point names where names come in,
+    # in spaces.py and corpus.py; every other module builds them from
+    # value vectors and target bitmasks, and looks no name up again
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("spaces.py", "corpus.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if called in NAME_CONSTRUCTORS:
+                    found.append(f"{path.name}:{node.lineno}:{called}")
+    assert found == []

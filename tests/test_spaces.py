@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from contred import (
     CapacityError,
     PartialMap,
+    Relation,
     SpaceMismatchError,
     Space,
     build_space,
@@ -438,6 +439,14 @@ def test_choice_functions_capacity_guard():
 def test_relation_rejects_foreign_pairs():
     with pytest.raises(ValueError):
         relation("R", S2, D2, [("s0", "9")])
+
+
+def test_relation_rows_are_checked_against_the_spaces():
+    # one row per domain point, and no target past the codomain
+    assert Relation("R", S2, D2, (0b01, 0b11)).pairs == (("s0", "0"), ("s1", "0"), ("s1", "1"))
+    for rows in ((0b01,), (0b01, 0b11, 0), (0b100, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="rows out of range in relation 'R'"):
+            Relation("R", S2, D2, rows)
 
 
 # -- determinism of the random generators ---------------------------------
