@@ -652,27 +652,51 @@ def verify_witness2(
     F(x, q(G x)) = p(x), undefined exactly where p is, for continuous G
     and F with vectors of the right lengths on the right spaces.  This is
     :func:`replay2`'s composite without building it, nor the product
-    X1 x Y2: F is checked along the product order by arithmetic, a pair
-    of maps entry by entry."""
+    X1 x Y2.
+
+    Between two maps, the equation is checked at every x first.  Once it
+    holds, F is defined at the reached points (x, q(G x)) with value p(x)
+    exactly where p is, so F is defined nowhere else exactly when it has
+    as many defined points as p; every witness :func:`_forced` builds is
+    such an F.  Then one loop over X1's comparable pairs (i, j) checks
+    both maps: G where both G i and G j are defined, and F where p i and
+    p j are, q(G i) below q(G j) asking p i below p j.  That is F's
+    monotonicity on the product order: F has at most one defined point
+    per x, so a pair of its points in one fibre is one point, and a pair
+    across fibres lies over a comparable pair of X1.  Any other F, a
+    witness built from maps (``spaces`` None) and problems are checked
+    along the whole product order by arithmetic, and a pair of problems
+    member by member."""
     X1, X2, Y2, Y1 = lhs.dom, rhs.dom, rhs.cod, lhs.cod
-    if w.spaces is None:
+    spaces = w.spaces
+    if spaces is None:
         g, f = w.translation, w.postprocess
         if g.dom != X1 or g.cod != X2 or f.dom != product_space(X1, Y2) or f.cod != Y1:
             return False
-    elif w.spaces != (X1, X2, Y2, Y1):
+    elif spaces != (X1, X2, Y2, Y1):
         return False
     gv, fv, k = w.gvec, w.fvec, Y2.n
     if len(gv) != X1.n or len(fv) != X1.n * k:
         return False
-    if not _rises(gv, X1, X2) or not _rises_on_product(fv, X1, Y2, Y1):
-        return False
     if isinstance(lhs, PartialMap) and isinstance(rhs, PartialMap):
-        qv, t = rhs.vec, 0
-        for j, v in zip(gv, lhs.vec):
+        pv, qv, t = lhs.vec, rhs.vec, 0
+        for j, v in zip(gv, pv):
             if (fv[t + qv[j]] if j >= 0 <= qv[j] else -1) != v:
                 return False
             t += k
+        if spaces is None or len(fv) - fv.count(-1) != len(pv) - pv.count(-1):
+            return _rises(gv, X1, X2) and _rises_on_product(fv, X1, Y2, Y1)
+        up2, upy, up1 = X2.up, Y2.up, Y1.up
+        for i, j in zip(*X1.pairs):
+            g, h = gv[i], gv[j]
+            if g >= 0 <= h and not (up2[g] >> h) & 1:
+                return False
+            v, u = pv[i], pv[j]
+            if v >= 0 <= u and not (up1[v] >> u) & 1 and (upy[qv[g]] >> qv[h]) & 1:
+                return False
         return True
+    if not _rises(gv, X1, X2) or not _rises_on_product(fv, X1, Y2, Y1):
+        return False
 
     def composite(q: PartialMap) -> tuple[int, ...]:
         qv = q.vec

@@ -268,12 +268,16 @@ def build_space(
 
 def discrete(n: int, name: str | None = None) -> Space:
     """n isolated points "0".."n-1": only comparabilities are reflexive."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     pts = tuple(str(i) for i in range(n))
     return Space(name or f"discrete{n}", pts, tuple(1 << i for i in range(n)))
 
 
 def indiscrete(n: int, name: str | None = None) -> Space:
     """n points "0".."n-1" with the full below-relation: opens are only {} and X."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     pts = tuple(str(i) for i in range(n))
     full = (1 << n) - 1
     return Space(name or f"indiscrete{n}", pts, tuple(full for _ in range(n)))
@@ -289,6 +293,8 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 def chain(n: int, name: str | None = None) -> Space:
     """A linear order a < b < c < ...; letters for n <= 26, c0,c1,... beyond."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n <= len(_LETTERS):
         pts = tuple(_LETTERS[:n])
     else:
@@ -461,8 +467,10 @@ def _breaks(vec, dom: Space, cod: Space) -> list[tuple[int, int]]:
 
     Continuity on finite spaces is monotonicity, so the map is continuous
     exactly when this is empty, and continuous at i exactly when no pair
-    starts at i.  It, :func:`_rises` and :func:`_rises_on_product` are the
-    places that compare values along the order.
+    starts at i.  It, :func:`_rises`, :func:`_rises_on_product` and the
+    replay of a witness between two maps in
+    ``reducibility.verify_witness2`` are the places that compare values
+    along the order.
     """
     upc = cod.up
     return [

@@ -25,6 +25,7 @@ from contred import (
     empty_map,
     identity_map,
     indiscrete,
+    injective_indiscrete_map,
     is_continuous,
     is_continuous_at,
     make_map,
@@ -123,6 +124,21 @@ def test_named_spaces_have_expected_shapes():
     assert S2.points == ("s0", "s1") and S2.below("s0", "s1")
     assert C3.points == ("a", "b", "c") and C3.below("a", "c")
     assert chain(0).points == () and discrete(0).points == ()
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (discrete, -1),
+        (indiscrete, -2),
+        (chain, -1),
+        (injective_indiscrete_map, -1),
+        (random_space, -1),
+    ],
+)
+def test_a_negative_size_is_refused_with_one_message(build, n):
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        build(n)
 
 
 def test_sierpinski_open_sets():

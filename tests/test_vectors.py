@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,9 @@ from contred import (
     replay0,
     replay2,
     serialize,
+    sup2,
+    sup2_upper_witness,
+    tagged,
     verify_witness0,
     verify_witness2,
 )
@@ -346,6 +350,80 @@ def test_verify_witness2_on_mutated_problem_vectors_agrees_with_the_literal_comp
     assert verdict == literal
 
 
+def _reached(data, p, q):
+    """A vector of G, monotone or not, and the vector of the F it forces:
+    F(x, q(G x)) = p(x) at the reached points, undefined elsewhere, as the
+    deciders build it.  Where p is defined, G is drawn where q is, if q is
+    defined anywhere, so that the equation mostly holds."""
+    k, qv = q.cod.n, q.vec
+    anywhere = range(-1, q.dom.n)
+    reaching = [j for j in anywhere if j >= 0 <= qv[j]] or anywhere
+    options = [anywhere if v < 0 else reaching for v in p.vec]
+    gvec = data.draw(st.tuples(*map(st.sampled_from, options)), label="G")
+    fvec = [-1] * (p.dom.n * k)
+    for x, (j, v) in enumerate(zip(gvec, p.vec)):
+        if j >= 0 <= qv[j]:
+            fvec[x * k + qv[j]] = v
+    return gvec, fvec
+
+
+def _on_vectors(p, q, gvec, fvec):
+    """The witness of these vectors on a decider's spaces, and whether its
+    maps are continuous and its literal composite is p."""
+    w = Witness2._on(p, q, (p.dom, q.dom, q.cod, p.cod), tuple(gvec), tuple(fvec))
+    g, f = w.translation, w.postprocess
+    return w, is_continuous(g) and is_continuous(f) and map_equal(replay2(w, q), p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_maps_st(0, 3), partial_maps_st(0, 3), st.data())
+def test_verify_witness2_at_the_reached_points_agrees_with_the_literal_composite(
+    p, q, data
+):
+    gvec, fvec = _reached(data, p, q)
+    if p.dom.n and data.draw(st.booleans(), label="change p"):
+        vec = list(p.vec)
+        x = data.draw(st.integers(0, p.dom.n - 1), label="p row")
+        vec[x] = data.draw(
+            st.sampled_from([v for v in range(-1, p.cod.n) if v != vec[x]]), label="p value"
+        )
+        p = _vec_map(p.name, p.dom, p.cod, vec)
+    w, literal = _on_vectors(p, q, gvec, fvec)
+    assert verify_witness2(p, q, w) == literal
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_maps_st(0, 3), partial_maps_st(0, 3), st.data())
+def test_an_f_defined_past_the_reached_points_is_checked_on_the_whole_product(
+    p, q, data
+):
+    gvec, fvec = _reached(data, p, q)
+    k, qv = q.cod.n, q.vec
+    reached = {x * k + qv[j] for x, j in enumerate(gvec) if j >= 0 <= qv[j]}
+    spare = [t for t in range(len(fvec)) if t not in reached]
+    if not spare:
+        return
+    fvec[data.draw(st.sampled_from(spare), label="extra point")] = data.draw(
+        st.integers(0, p.cod.n - 1), label="extra value"
+    )
+    w, literal = _on_vectors(p, q, gvec, fvec)
+    with mock.patch.object(
+        reducibility, "_rises_on_product", wraps=_rises_on_product
+    ) as whole_product:
+        assert verify_witness2(p, q, w) == literal
+    # past the equation and G's check, F is read on the whole product
+    reaches = map_equal(replay2(w, q), p) and is_continuous(w.translation)
+    assert whole_product.called == reaches
+
+
+def test_a_witness_built_from_maps_still_replays():
+    fam = tagged([ID, STEP], ("l", "r"))
+    for tag, item in fam:
+        w = sup2_upper_witness(fam, tag)
+        assert w.spaces is None
+        assert verify_witness2(item, sup2(fam), w)
+
+
 @settings(max_examples=300, deadline=None)
 @given(spaces_st(0, 3), spaces_st(0, 3), spaces_st(1, 3), st.data())
 def test_verify_witness0_on_mutated_vectors_agrees_with_the_literal_composite(
@@ -392,6 +470,30 @@ def test_a_wrong_le0_search_result_is_refused_on_the_decision_path(monkeypatch, 
     monkeypatch.setattr(reducibility, "_search", lambda *args: list(gvec))
     with pytest.raises(InvalidWitnessError):
         le0_map(ID, ID)
+
+
+CONST = make_map("const", C2, C2, {"a": "a", "b": "a"})
+SWAP = make_map("swap", C2, C2, {"a": "b", "b": "a"})
+
+
+@pytest.mark.parametrize(
+    "p, q, gvec, fvec, replays",
+    [
+        (ID, ID, [0, 1], [0, -1, -1, 1], True),
+        # G reverses the order; the F it forces rises
+        (CONST, ID, [1, 0], [-1, 0, 0, -1], False),
+        # G rises; F falls from (a, a) to (b, b), as p does
+        (SWAP, ID, [0, 1], [1, -1, -1, 0], False),
+        # F at the reached points rises, but its extra point (b, 0) is
+        # above (a, 0) with a value not above it
+        (STEP, STEP, [0, 1], [0, -1, -1, 1], True),
+        (STEP, STEP, [0, 1], [0, -1, 1, 1], False),
+    ],
+)
+def test_the_replay_between_two_maps_refuses_each_break(p, q, gvec, fvec, replays):
+    w, literal = _on_vectors(p, q, gvec, fvec)
+    assert literal == replays
+    assert verify_witness2(p, q, w) == replays
 
 
 def test_a_yes_builds_no_map_and_no_product(monkeypatch):
