@@ -101,12 +101,14 @@ def degree_poset(
     cap: int = 3,
 ) -> DegreePoset:
     """The degree poset of ``items`` under ``relation``, decided class
-    first: each item is decided both ways against the representatives
-    found so far and joins the first one it is mutually reducible with,
-    once it answers against every earlier one as that one does; otherwise
-    it becomes a representative.  Under lect nothing joins, so every
-    ordered pair is decided: bounded-copies reductions need not compose
-    within cap.  A decider that is not a preorder raises ``ContredError``.
+    first in name order: each item is decided both ways against the
+    representatives found so far and joins the first one it is mutually
+    reducible with, once it answers against every earlier one as that one
+    does; otherwise it becomes a representative.  So which pairs are
+    decided, and whether ``budget`` runs out, depend only on the set of
+    items.  Under lect nothing joins, so every ordered pair is decided:
+    bounded-copies reductions need not compose within cap.  A decider that
+    is not a preorder raises ``ContredError``.
     """
     items = tuple(items)
     kinds = {isinstance(x, Problem) for x in items}
@@ -121,17 +123,20 @@ def degree_poset(
             raise SpaceMismatchError("le0 poset needs one common codomain")
     n = len(items)
     joins = relation != "lect"
-    # bitmasks over item indices: the representatives above representative
-    # r and the earlier ones below it; and r's class, in item order
+    # bitmasks over positions in name order: the representatives above
+    # representative r and the earlier ones below it; and r's class
+    order = sorted(range(n), key=names.__getitem__)
+    named = [items[i] for i in order]
+    names.sort()
     up, down = [0] * n, [0] * n
     members: dict[int, list[int]] = {}
     reps: list[int] = []
 
-    for i, x in enumerate(items):
+    for i, x in enumerate(named):
         row = col = 0
         joinable = joins
         for r in reps:
-            y = items[r]
+            y = named[r]
             row |= (decide(x, y, relation, budget, cap) is not None) << r
             col |= (decide(y, x, relation, budget, cap) is not None) << r
             if joinable and (row & col) >> r & 1:
@@ -163,7 +168,8 @@ def degree_poset(
                 )
 
     # a class is the members of a representative that joins; under lect,
-    # which never joins, it is the representatives that share a row
+    # which never joins, it is the representatives that share a row.  So
+    # they come ordered by their least member's name, as their labels sort
     if joins:
         classes = [tuple(members[r]) for r in reps]
     else:
@@ -171,10 +177,7 @@ def degree_poset(
         for r in reps:
             same = [t for t in reps if up[t] == up[r]]
             if same[0] == r:
-                classes.append(tuple(sorted(i for t in same for i in members[t])))
-    # by their sorted member names, which the least name decides: names
-    # are distinct
-    classes.sort(key=lambda c: min([names[i] for i in c]))
+                classes.append(tuple(same))
     # each class's bit, at its first member, which is a representative
     class_bit = [0] * n
     for a, c in enumerate(classes):
@@ -194,6 +197,8 @@ def degree_poset(
             through |= strict[c]
         for b in _bits(row & ~through):
             hasse.append((a, b))
+    # back to indices into the given items
+    classes = [tuple(sorted(order[i] for i in c)) for c in classes]
     return DegreePoset(items, relation, tuple(classes), tuple(above), tuple(hasse))
 
 

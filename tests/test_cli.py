@@ -4,6 +4,8 @@
 from __future__ import annotations
 
 import io
+import itertools
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contred import cli, kernel, level, reducibility
+from contred import (
+    chain,
+    cli,
+    corpus_from_items,
+    discrete,
+    kernel,
+    level,
+    random_map,
+    random_space,
+    reducibility,
+    serialize,
+)
 from contred.cli import build_parser, main
 from contred.corpus import parse
 
@@ -426,6 +439,29 @@ def test_a_no_the_profile_refutes_spends_no_budget(clt, capsys):
     assert main(["check", "le2", "flip", "konst", clt, "--budget", "0"]) == 1
     assert main(["check", "le0", "flip", "konst", clt, "--budget", "0"]) == 1
     assert capsys.readouterr() == ("no\nno\n", "")
+
+
+@pytest.mark.parametrize("seed, budget", [(54, 4), (50, 6)])
+def test_poset_budget_runs_out_alike_in_every_order(seed, budget, tmp_path, capsys):
+    # seeds whose four small maps run out of this budget in some orders of
+    # decision and not in others
+    rng = random.Random(seed)
+    maps = [
+        random_map(
+            random_space(rng.randint(2, 4), 0.4, rng.randrange(1000)),
+            rng.choice([discrete(2), chain(2)]),
+            seed=rng.randrange(1000),
+            name=f"m{k}",
+        )
+        for k in range(4)
+    ]
+    path = tmp_path / f"s{seed}.clt"
+    path.write_text(serialize(corpus_from_items(maps)), encoding="utf-8")
+    seen = set()
+    for names in itertools.permutations(x.name for x in maps):
+        code = main(["poset", "le2", "--budget", str(budget), *names, str(path)])
+        seen.add((code, capsys.readouterr().out))
+    assert len(seen) == 1
 
 
 # -- corpus loading --------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import contred.explore
 from contred import (
     UNBOUNDED,
+    Budget,
     ContredError,
     LevelValue,
     SearchExhaustedError,
@@ -177,9 +179,10 @@ import contred.explore
 from contred import ContredError, constant_map, degree_poset, discrete, sierpinski
 
 S2, D2 = sierpinski(), discrete(2)
-# in order x, r, m: m joins r's class, and only its entry against the
-# earlier representative x is inconsistent: m <= x but not r <= x
-below = {("m", "x"), ("m", "r"), ("r", "m")}
+# decided in name order a, b, c: c joins b's class, and only its entry
+# against the earlier representative a is inconsistent: c <= a but not
+# b <= a
+below = {("c", "a"), ("c", "b"), ("b", "c")}
 
 
 def fake_decide(a, b, *_):
@@ -187,7 +190,7 @@ def fake_decide(a, b, *_):
 
 
 contred.explore.decide = fake_decide
-items = [constant_map(S2, D2, "0", name=name) for name in ("x", "r", "m")]
+items = [constant_map(S2, D2, "0", name=name) for name in ("a", "b", "c")]
 try:
     degree_poset(items)
 except ContredError as exc:
@@ -199,18 +202,18 @@ except ContredError as exc:
 def test_degree_poset_checks_a_member_against_earlier_representatives(flags):
     done = run_python(*flags, "-c", MEMBER_INTRANSITIVE_POSET)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "raised: le2 is not transitive on 'r', 'm', 'x'\n"
+    assert done.stdout == "raised: le2 is not transitive on 'b', 'c', 'a'\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_degree_poset_checks_earlier_representatives_below_a_member(flags):
-    # the mirror case: x <= m and m joins r's class, but not x <= r
-    below = '{("x", "m"), ("m", "r"), ("r", "m")}'
-    script = MEMBER_INTRANSITIVE_POSET.replace('{("m", "x"), ("m", "r"), ("r", "m")}', below)
+    # the mirror case: a <= c and c joins b's class, but not a <= b
+    below = '{("a", "c"), ("c", "b"), ("b", "c")}'
+    script = MEMBER_INTRANSITIVE_POSET.replace('{("c", "a"), ("c", "b"), ("b", "c")}', below)
     assert script != MEMBER_INTRANSITIVE_POSET
     done = run_python(*flags, "-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "raised: le2 is not transitive on 'x', 'm', 'r'\n"
+    assert done.stdout == "raised: le2 is not transitive on 'a', 'c', 'b'\n"
 
 
 @pytest.fixture()
@@ -228,14 +231,14 @@ def decisions(monkeypatch):
 
 
 def _classy_pool():
-    # seven maps in four le2 classes: {bot}, {konst, ident, k1},
+    # seven new maps in four le2 classes: {bot}, {konst, ident, k1},
     # {flip, step} and {alt3}
     return [
         empty_map(S2, S2, name="bot"),
         constant_map(S2, S2, "s0", name="konst"),
-        flip,
+        total_map("flip", S2, S2, {"s0": "s1", "s1": "s0"}),
         identity_map(S2, name="ident"),
-        step,
+        total_map("step", S2, D2, {"s0": "0", "s1": "1"}),
         constant_map(S2, D2, "1", name="k1"),
         total_map("alt3", C3, D2, {"a": "0", "b": "1", "c": "0"}),
     ]
@@ -246,15 +249,46 @@ def test_degree_poset_decides_against_class_representatives(decisions):
     assert [poset.class_label(c) for c in range(len(poset.classes))] == [
         "alt3", "bot", "flip, step", "ident, k1, konst"
     ]
-    # each item is decided both ways against the representatives before
-    # the one it joins; a new representative also against itself:
-    # bot 1, konst 2+1, flip 4+1, ident 4, step 6, k1 4, alt3 6+1
-    assert len(decisions) == 30 < 7 * 7
-    reps = {"bot", "konst", "flip", "alt3"}
+    # in name order, each item is decided both ways against the
+    # representatives before the one it joins; a new representative also
+    # against itself: alt3 1, bot 2+1, flip 4+1, ident 6+1, k1 8, konst 8,
+    # step 6
+    assert len(decisions) == 38 < 7 * 7
+    reps = {"alt3", "bot", "flip", "ident"}
     assert {a for a, b in decisions if a == b} == reps
     assert all(a in reps or b in reps for a, b in decisions)
     # the members' entries are read from their representatives'
     assert poset.matrix == _full_matrix(_classy_pool(), "le2")
+
+
+def test_degree_poset_does_the_same_work_in_every_order(decisions):
+    pool = _classy_pool()
+    full = _full_matrix(pool, "le2")
+    first = None
+    for order in itertools.permutations(range(len(pool))):
+        decisions.clear()
+        poset = degree_poset([pool[i] for i in order], relation="le2")
+        labels = [poset.class_label(c) for c in range(len(poset.classes))]
+        covers = [(labels[a], labels[b]) for a, b in poset.hasse]
+        got = (list(decisions), labels, covers)
+        if first is None:
+            first = got
+        assert got == first, order
+        assert poset.matrix == tuple(tuple(full[i][j] for j in order) for i in order)
+    assert len(first[0]) == 38
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_shared_budget_spends_the_same_in_every_order(seed):
+    rng = random.Random(seed)
+    spent = set()
+    for _ in range(6):
+        pool = _classy_pool()  # new maps, so that no answer is kept
+        rng.shuffle(pool)
+        budget = Budget()
+        degree_poset(pool, relation="le2", budget=budget)
+        spent.add(budget.used)
+    assert len(spent) == 1 and spent.pop() > 0
 
 
 def test_lect_poset_decides_every_ordered_pair(decisions):
