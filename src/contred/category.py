@@ -196,9 +196,6 @@ def space_category(
                 name_by_key[(dom.name, cod.name, vec)] = label
                 if dom is cod and all(v == i for i, v in enumerate(vec)):
                     identities[dom.name] = label
-    for s in spaces:
-        if s.name not in identities:
-            identities[s.name] = name_by_key[(s.name, s.name, tuple(range(s.n)))]
     table: dict[tuple[str, str], str] = {}
     for f in morphisms:
         fm = maps[f.name]

@@ -122,7 +122,6 @@ def degree_poset(
         if len(cods) > 1:
             raise SpaceMismatchError("le0 poset needs one common codomain")
     n = len(items)
-    joins = relation != "lect"
     # bitmasks over positions in name order: the representatives above
     # representative r and the earlier ones below it; and r's class
     order = sorted(range(n), key=names.__getitem__)
@@ -134,7 +133,7 @@ def degree_poset(
 
     for i, x in enumerate(named):
         row = col = 0
-        joinable = joins
+        joinable = relation != "lect"
         for r in reps:
             y = named[r]
             row |= (decide(x, y, relation, budget, cap) is not None) << r
@@ -167,17 +166,14 @@ def degree_poset(
                     f"{names[r]!r}, {names[j]!r}, {names[k]!r}"
                 )
 
-    # a class is the members of a representative that joins; under lect,
-    # which never joins, it is the representatives that share a row.  So
-    # they come ordered by their least member's name, as their labels sort
-    if joins:
-        classes = [tuple(members[r]) for r in reps]
-    else:
-        classes = []
-        for r in reps:
-            same = [t for t in reps if up[t] == up[r]]
-            if same[0] == r:
-                classes.append(tuple(same))
+    # a class is the members of the representatives that share a row: one
+    # representative if the relation joins (a later one with an earlier
+    # one's row would have joined it), maybe several under lect.  So classes
+    # come ordered by their least member's name, as their labels sort
+    rows: dict[int, list[int]] = {}
+    for r in reps:
+        rows.setdefault(up[r], []).extend(members[r])
+    classes = [tuple(c) for c in rows.values()]
     # each class's bit, at its first member, which is a representative
     class_bit = [0] * n
     for a, c in enumerate(classes):
@@ -394,7 +390,7 @@ def _matches_targets(m: PartialMap, lev_t: LevelValue, bas_t: int) -> bool:
 
 
 def search_lev_bas_witness(
-    target_lev: int | LevelValue,
+    target_lev: int,
     target_bas: int,
     max_points: int = 8,
     seed: int = 0,
@@ -404,9 +400,9 @@ def search_lev_bas_witness(
     basesize.  Random candidates first, then a deterministic cyclically
     labeled chain; every hit is re-verified through the full invariant
     report before being returned."""
-    lev_t = target_lev if isinstance(target_lev, LevelValue) else LevelValue(target_lev)
-    if LevelValue(target_bas) > lev_t:
-        raise ValueError("basesize target cannot exceed the level target")
+    lev_t = LevelValue(target_lev)
+    if not 0 <= target_bas <= lev_t:
+        raise ValueError("basesize target must lie between 0 and the level target")
 
     def verified(m: PartialMap) -> PartialMap:
         report = invariant_report(m)
@@ -417,7 +413,7 @@ def search_lev_bas_witness(
         return m
 
     candidates: list[PartialMap] = []
-    if lev_t == LevelValue(0) and target_bas == 0:
+    if lev_t == 0 and target_bas == 0:
         candidates.append(_vec_map("void", chain(0), discrete(1), ()))
     rng = _rng("search", lev_t, target_bas, seed)
     for _ in range(attempts if max_points >= 1 else 0):
@@ -425,7 +421,7 @@ def search_lev_bas_witness(
         dom = random_space(n, rng.choice([0.2, 0.4, 0.7]), rng.randrange(1 << 30))
         cod = discrete(rng.randint(1, min(4, max(1, n))))
         candidates.append(random_map(dom, cod, rng.randrange(1 << 30)))
-    if lev_t.value is not None and 1 <= target_bas <= lev_t.value <= max_points:
+    if 1 <= target_bas <= lev_t <= max_points:
         candidates.append(mod_chain_map(lev_t.value, target_bas))
     if lev_t == UNBOUNDED and 2 <= target_bas <= max_points:
         candidates.append(injective_indiscrete_map(target_bas))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import total_ordering
 from itertools import count
 
 from .errors import ContredError
@@ -28,53 +27,33 @@ from .kernel import Budget, _search
 from .spaces import PartialMap, Problem, _bits, conflict_structure
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class LevelValue:
-    """A natural number or the sentinel above all of them (value None)."""
+class LevelValue(int):
+    """A natural number, or UNBOUNDED (``LevelValue(None)``) above all of
+    them.  UNBOUNDED is stored as ``sys.maxsize``, which no level reaches:
+    a chain stops within |dom| + 1 stages."""
 
-    value: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value < 0:
+    def __new__(cls, value: int | None = None) -> "LevelValue":
+        if value is None:
+            value = sys.maxsize
+        elif value < 0:
             raise ValueError("levels are natural numbers")
+        return super().__new__(cls, value)
+
+    @property
+    def value(self) -> int | None:
+        return None if self.is_unbounded else int(self)
 
     @property
     def is_unbounded(self) -> bool:
-        return self.value is None
-
-    @staticmethod
-    def _coerce(other: object) -> "LevelValue | None":
-        if isinstance(other, LevelValue):
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return LevelValue(other)
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.value is None:
-            return False
-        if o.value is None:
-            return True
-        return self.value < o.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
+        return self == sys.maxsize
 
     def __repr__(self) -> str:
-        return "Unbounded" if self.value is None else f"LevelValue({self.value})"
+        return "Unbounded" if self.is_unbounded else f"LevelValue({int(self)})"
 
     def __str__(self) -> str:
-        return "unbounded" if self.value is None else str(self.value)
+        return "unbounded" if self.is_unbounded else str(int(self))
 
 
 UNBOUNDED = LevelValue(None)
@@ -238,19 +217,12 @@ def basesize_problem(P: Problem) -> LevelValue:
 
 # -- profile ---------------------------------------------------------------
 
-# a profile's UNBOUNDED: a plain int above every level
-_ABOVE = sys.maxsize
-
-
-def _levels(f: PartialMap) -> tuple[int, int]:
-    """``(level(f, 1), level(f, 2))`` as plain ints, UNBOUNDED read as
-    ``_ABOVE``.  Computed on the first call and kept in the map's
-    ``__dict__``, as a ``_once`` attribute is."""
+def _levels(f: PartialMap) -> tuple[LevelValue, LevelValue]:
+    """``(level(f, 1), level(f, 2))``, computed on the first call and kept
+    in the map's ``__dict__``, as a ``_once`` attribute is."""
     got = f.__dict__.get("_levels")
     if got is None:
-        got = f.__dict__["_levels"] = tuple(
-            _ABOVE if v.is_unbounded else v.value for v in (level(f, 1), level(f, 2))
-        )
+        got = f.__dict__["_levels"] = (level(f, 1), level(f, 2))
     return got
 
 

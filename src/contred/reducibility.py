@@ -512,7 +512,7 @@ def le_ct(
     b = _as_budget(budget)
     for n in range(1, cap + 1):
         gn = pi_power(g, n)
-        w = le2_fn(f, gn, budget=b)
+        w = le2_map(f, gn, b)
         if w is not None:
             return CtResult(n, w, cap)
     return CtResult(None, None, cap)

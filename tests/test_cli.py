@@ -148,6 +148,13 @@ def test_invariants_problem_takes_member_minimum(clt, capsys):
     assert capsys.readouterr().out == "lev1=1 lev2=1 bas=1\n"
 
 
+def test_invariants_of_a_problem_without_members_are_unbounded(tmp_path, capsys):
+    path = tmp_path / "none.clt"
+    path.write_text(DEMO + "\nproblem E : S -> S\nend\n", encoding="utf-8")
+    assert main(["invariants", "E", str(path)]) == 0
+    assert capsys.readouterr().out == "lev1=unbounded lev2=unbounded bas=unbounded\n"
+
+
 def test_invariants_rejects_spaces_and_extra_names(clt, capsys):
     assert main(["invariants", "S", clt]) == 2
     assert "is a space" in capsys.readouterr().err

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,19 @@ def test_level_values_order_like_naturals_with_a_top():
     assert str(UNBOUNDED) == "unbounded" and str(LevelValue(2)) == "2"
     with pytest.raises(ValueError):
         LevelValue(-1)
+
+
+def test_level_values_are_ints():
+    mix = [UNBOUNDED, 3, LevelValue(0), 1, LevelValue(2)]
+    assert sorted(mix) == [0, 1, 2, 3, UNBOUNDED]
+    assert sorted(mix)[-1] is UNBOUNDED
+    assert max(mix) is UNBOUNDED and min(mix) == 0
+    assert max(LevelValue(2), 5) == 5 and min(UNBOUNDED, 4) == 4
+    assert {LevelValue(2): "two"}[2] == "two"
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        back = copy_of(UNBOUNDED)
+        assert back == UNBOUNDED and back.value is None and back.is_unbounded
+        assert copy_of(LevelValue(3)) == 3 and copy_of(LevelValue(3)).value == 3
 
 
 # -- level set chains ------------------------------------------------------

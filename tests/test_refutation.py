@@ -22,6 +22,7 @@ from contred import (
     UNBOUNDED,
     Budget,
     CapacityError,
+    LevelValue,
     SpaceMismatchError,
     basesize,
     basesize_problem,
@@ -41,7 +42,7 @@ from contred import (
 )
 from contred import invariants, reducibility
 from contred.explore import injective_indiscrete_map
-from contred.invariants import _ABOVE, _levels, _refuted
+from contred.invariants import _levels, _refuted
 from contred.reducibility import _le2_fast_search, _le2_oracle_search
 
 from conftest import all_partial_maps, all_spaces_up_to, all_total_maps
@@ -56,11 +57,11 @@ CONST = make_map("const", S, D2, {"s0": "0", "s1": "0"})
 
 def test_profile_is_the_invariants_as_plain_ints():
     for f in (FLIP, IDENT, STEP, CONST):
-        lev = [level(f, v) for v in (1, 2)]
-        assert _levels(f) == tuple(_ABOVE if x == UNBOUNDED else x.value for x in lev)
-        assert all(type(x) is int for x in _levels(f))
+        assert _levels(f) == (level(f, 1), level(f, 2))
+        assert all(isinstance(x, LevelValue) for x in _levels(f))
     assert _levels(FLIP) == (2, 2)
     assert _levels(CONST) == (1, 1)
+    assert _levels(injective_indiscrete_map(2)) == (UNBOUNDED, UNBOUNDED)
 
 
 def test_profile_is_computed_once_per_map():
