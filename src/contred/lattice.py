@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Sequence
 
-from .errors import CapacityError, ContredError, InvalidWitnessError
+from .errors import CapacityError, ContredError, InvalidWitnessError, SpaceMismatchError
 from .kernel import Budget
 from .reducibility import Witness0, Witness2, _replayed, decide
 from .spaces import (
@@ -218,11 +218,11 @@ def sup2_least_witness(
 def _common_cod(maps: Sequence[PartialMap], cod: Space | None) -> Space:
     cods = {m.cod for m in maps}
     if len(cods) > 1:
-        raise ContredError("sup0/inf0 need one shared codomain")
+        raise SpaceMismatchError("sup0/inf0 need one shared codomain")
     if cods:
         shared = next(iter(cods))
         if cod is not None and cod != shared:
-            raise ContredError("explicit codomain disagrees with the family")
+            raise SpaceMismatchError("explicit codomain disagrees with the family")
         return shared
     if cod is None:
         raise ValueError("empty family needs an explicit codomain")

@@ -47,10 +47,9 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
+    _breaks,
     _kept,
     _once,
-    _rises,
-    _rises_on_product,
     _Value,
     _vec_map,
     compose,
@@ -631,7 +630,7 @@ def verify_witness0(
     q(G x) = p(x), undefined exactly where p is, for a continuous G between
     the domains."""
     X1, X2, gv = lhs.dom, rhs.dom, w.gvec
-    if w.spaces != (X1, X2) or len(gv) != X1.n or not _rises(gv, X1, X2):
+    if w.spaces != (X1, X2) or len(gv) != X1.n or _breaks(gv, X1, X2):
         return False
 
     def composite(q: PartialMap) -> tuple[int, ...]:
@@ -651,8 +650,7 @@ def verify_witness2(
     """Replay a one-query witness pointwise on its index vectors:
     F(x, q(G x)) = p(x), undefined exactly where p is, for continuous G
     and F with vectors of the right lengths on the right spaces.  This is
-    :func:`replay2`'s composite without building it, nor the product
-    X1 x Y2.
+    :func:`replay2`'s composite without building it.
 
     Between two maps, the equation is checked at every x first.  Once it
     holds, F is defined at the reached points (x, q(G x)) with value p(x)
@@ -663,10 +661,11 @@ def verify_witness2(
     p j are, q(G i) below q(G j) asking p i below p j.  That is F's
     monotonicity on the product order: F has at most one defined point
     per x, so a pair of its points in one fibre is one point, and a pair
-    across fibres lies over a comparable pair of X1.  Any other F, a
-    witness built from maps (``spaces`` None) and problems are checked
-    along the whole product order by arithmetic, and a pair of problems
-    member by member."""
+    across fibres lies over a comparable pair of X1.  A pair of problems
+    is checked member by member.  Then any other F, a witness built from
+    maps (``spaces`` None) and every witness between problems are checked
+    by :func:`_breaks`: G along X1's comparable pairs, and F along those of
+    the product X1 x Y2, built once and kept on X1."""
     X1, X2, Y2, Y1 = lhs.dom, rhs.dom, rhs.cod, lhs.cod
     spaces = w.spaces
     if spaces is None:
@@ -684,25 +683,24 @@ def verify_witness2(
             if (fv[t + qv[j]] if j >= 0 <= qv[j] else -1) != v:
                 return False
             t += k
-        if spaces is None or len(fv) - fv.count(-1) != len(pv) - pv.count(-1):
-            return _rises(gv, X1, X2) and _rises_on_product(fv, X1, Y2, Y1)
-        up2, upy, up1 = X2.up, Y2.up, Y1.up
-        for i, j in zip(*X1.pairs):
-            g, h = gv[i], gv[j]
-            if g >= 0 <= h and not (up2[g] >> h) & 1:
-                return False
-            v, u = pv[i], pv[j]
-            if v >= 0 <= u and not (up1[v] >> u) & 1 and (upy[qv[g]] >> qv[h]) & 1:
-                return False
-        return True
-    if not _rises(gv, X1, X2) or not _rises_on_product(fv, X1, Y2, Y1):
-        return False
+        if spaces is not None and len(fv) - fv.count(-1) == len(pv) - pv.count(-1):
+            up2, upy, up1 = X2.up, Y2.up, Y1.up
+            for i, j in zip(*X1.pairs):
+                g, h = gv[i], gv[j]
+                if g >= 0 <= h and not (up2[g] >> h) & 1:
+                    return False
+                v, u = pv[i], pv[j]
+                if v >= 0 <= u and not (up1[v] >> u) & 1 and (upy[qv[g]] >> qv[h]) & 1:
+                    return False
+            return True
+    else:
+        def composite(q: PartialMap) -> tuple[int, ...]:
+            qv = q.vec
+            return tuple(fv[x * k + qv[j]] if j >= 0 <= qv[j] else -1 for x, j in enumerate(gv))
 
-    def composite(q: PartialMap) -> tuple[int, ...]:
-        qv = q.vec
-        return tuple(fv[x * k + qv[j]] if j >= 0 <= qv[j] else -1 for x, j in enumerate(gv))
-
-    return _sends_into(lhs, rhs, composite)
+        if not _sends_into(lhs, rhs, composite):
+            return False
+    return not _breaks(gv, X1, X2) and not _breaks(fv, product_space(X1, Y2), Y1)
 
 
 def witness0_to_witness2(

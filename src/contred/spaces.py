@@ -467,10 +467,9 @@ def _breaks(vec, dom: Space, cod: Space) -> list[tuple[int, int]]:
 
     Continuity on finite spaces is monotonicity, so the map is continuous
     exactly when this is empty, and continuous at i exactly when no pair
-    starts at i.  It, :func:`_rises`, :func:`_rises_on_product` and the
-    replay of a witness between two maps in
-    ``reducibility.verify_witness2`` are the places that compare values
-    along the order.
+    starts at i.  It and the loop that replays a witness between two maps
+    in ``reducibility.verify_witness2`` are the two places that compare
+    values along an order.
     """
     upc = cod.up
     return [
@@ -478,16 +477,6 @@ def _breaks(vec, dom: Space, cod: Space) -> list[tuple[int, int]]:
         for i, j in zip(*dom.pairs)
         if vec[i] >= 0 <= vec[j] and not (upc[vec[i]] >> vec[j]) & 1
     ]
-
-
-def _rises(vec, dom: Space, cod: Space) -> bool:
-    """Whether :func:`_breaks` is empty, stopping at the first break."""
-    upc = cod.up
-    for i, j in zip(*dom.pairs):
-        v, w = vec[i], vec[j]
-        if v >= 0 <= w and not (upc[v] >> w) & 1:
-            return False
-    return True
 
 
 def conflict_structure(p: PartialMap) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -503,21 +492,6 @@ def conflict_structure(p: PartialMap) -> tuple[int, tuple[tuple[int, int], ...]]
     the level rounds of :mod:`contred.invariants` read it too.
     """
     return p.conflicts
-
-
-def _rises_on_product(vec, a: Space, b: Space, cod: Space) -> bool:
-    """Whether ``vec``, a map a x b -> cod on :func:`product`'s indices
-    ((i, y) at i * |b| + y), is monotone where defined, without building
-    the product: (i, y) is below (j, z) when i is below j and y below z.
-    Any number of points (i, y) per i may be defined."""
-    k, upa, upb, upc = b.n, a.up, b.up, cod.up
-    on = [(t, v) for t, v in enumerate(vec) if v >= 0]
-    for t, v in on:
-        ui, uy, uv = upa[t // k], upb[t % k], upc[v]
-        for s, w in on:
-            if not (uv >> w) & 1 and (ui >> s // k) & 1 and (uy >> s % k) & 1:
-                return False
-    return True
 
 
 def is_continuous_at(f: PartialMap, x: str) -> bool:

@@ -289,6 +289,13 @@ def test_coproduct_mediator_rejects_partial_cone():
         coproduct_with_mediator([partial, ident])
 
 
+def test_coproduct_mediator_needs_one_codomain():
+    with pytest.raises(SpaceMismatchError, match="shared codomain"):
+        coproduct_with_mediator([flip, step])
+    with pytest.raises(SpaceMismatchError, match="explicit codomain"):
+        coproduct_with_mediator([flip, ident], cod=D2)
+
+
 def test_coproduct_mediator_capacity_guard():
     with pytest.raises(CapacityError):
         coproduct_with_mediator([flip, ident], cap=3)

@@ -55,7 +55,7 @@ from contred import (
 )
 from contred.explore import enumerate_continuous_partial, enumerate_continuous_total
 
-from conftest import assert_valid_dot, problems_st, run_python, seeds, spaces_st
+from conftest import all_spaces_up_to, assert_valid_dot, problems_st, run_python, seeds, spaces_st
 
 S2 = sierpinski()
 D2 = discrete(2)
@@ -559,6 +559,40 @@ def test_antichain_under_capped_parallel_order():
     fam = search_antichain(2, relation="lect", max_points=9, seed=0)
     assert len(fam) == 2
     _pairwise_incomparable(fam, "lect")
+
+
+@pytest.mark.parametrize("relation", ["le2", "lect"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_antichain_search_builds_its_pool_and_finds_none_on_two_points(
+    monkeypatch, relation, seed
+):
+    # no catalog family fits in 2 points, so the seeded pool is all there is
+    drawn = []
+
+    def drawing(*args):
+        drawn.append(random_map(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(contred.explore, "random_map", drawing)
+    with pytest.raises(SearchExhaustedError):
+        search_antichain(2, relation=relation, max_points=2, seed=seed)
+    assert len(drawn) == 200 and all(1 <= f.dom.n <= 2 for f in drawn)
+
+
+def test_no_antichain_of_total_maps_on_two_points():
+    # so the pool above rightly finds none: every total map on at most 2
+    # points into discrete(1..3) is le2-comparable with every other, and
+    # le2 lies inside lect
+    maps = [
+        make_map("f", X, discrete(m), dict(zip(X.points, (str(v) for v in vals))))
+        for X in all_spaces_up_to(2)
+        if X.n
+        for m in (1, 2, 3)
+        for vals in itertools.product(range(m), repeat=X.n)
+    ]
+    assert len(maps) == 62
+    for a, b in itertools.combinations(maps, 2):
+        assert decide(a, b, "le2") is not None or decide(b, a, "le2") is not None
 
 
 def test_antichain_size_validation():

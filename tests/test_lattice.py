@@ -164,6 +164,24 @@ def test_common_codomain_join_keeps_the_codomain():
     assert le0_map(j, c0) is None and le0_map(j, c1) is None
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sup0([flip, step]),
+        lambda: sup0([c0], cod=S2),
+        lambda: sup0_problem([singleton_problem(flip), singleton_problem(step)]),
+        lambda: inf0([flip, step]),
+        lambda: inf0([c0], cod=S2),
+        lambda: fibered_with_projections([flip, step]),
+    ],
+    ids=["sup0", "sup0-cod", "sup0_problem", "inf0", "inf0-cod", "fibered"],
+)
+def test_a_codomain_mismatch_in_a_join_or_meet_is_a_space_mismatch(build):
+    # as for le0, compose and map_equal; still a ContredError and a ValueError
+    with pytest.raises(SpaceMismatchError):
+        build()
+
+
 def test_common_codomain_join_requires_one():
     with pytest.raises(ContredError):
         sup0([flip, step])

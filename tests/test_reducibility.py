@@ -27,6 +27,7 @@ from contred import (
     decide,
     discrete,
     empty_map,
+    enumerate_continuous_partial,
     identity_map,
     indiscrete,
     is_continuous,
@@ -75,6 +76,48 @@ alt3 = total_map("alt3", C3, D2, {"a": "0", "b": "1", "c": "0"})
 c0 = constant_map(S2, D2, "0", name="c0")
 c1 = constant_map(S2, D2, "1", name="c1")
 blur2 = total_map("blur2", I2, D2, {"0": "0", "1": "1"})
+
+
+# -- input refusals ---------------------------------------------------------
+
+half = make_map("half", S2, S2, {"s1": "s1"})
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: le0_fn(half, flip), ValueError),
+        (lambda: le0_fn(flip, half), ValueError),
+        (lambda: le2_fn(half, flip), ValueError),
+        (lambda: le2_fn(flip, half), ValueError),
+        (lambda: le_ct(half, flip), ValueError),
+        (lambda: le_ct(flip, half), ValueError),
+        (
+            lambda: le0_problem(singleton_problem(flip), singleton_problem(step)),
+            SpaceMismatchError,
+        ),
+        (
+            lambda: decide(singleton_problem(flip), singleton_problem(flip), "lect"),
+            ValueError,
+        ),
+        # (2 + 1) ** 3 = 27 partial maps C3 -> D2
+        (lambda: enumerate_continuous_partial(C3, D2, cap=26), CapacityError),
+    ],
+    ids=[
+        "le0_fn-left",
+        "le0_fn-right",
+        "le2_fn-left",
+        "le2_fn-right",
+        "le_ct-left",
+        "le_ct-right",
+        "le0_problem-cod",
+        "lect-problems",
+        "enumerate-cap",
+    ],
+)
+def test_a_decider_refuses_input_outside_its_scope(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # -- composition reducibility ---------------------------------------------

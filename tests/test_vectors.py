@@ -5,7 +5,6 @@ read, and corpus round trips on arbitrary bare tokens."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -25,6 +24,7 @@ from contred import (
     coproduct,
     corpus_from_items,
     discrete,
+    indiscrete,
     is_continuous,
     le0_map,
     le0_problem,
@@ -40,6 +40,7 @@ from contred import (
     replay0,
     replay2,
     serialize,
+    singleton_problem,
     sup2,
     sup2_upper_witness,
     tagged,
@@ -48,9 +49,9 @@ from contred import (
 )
 from contred import reducibility, spaces
 from contred.cli import main
-from contred.spaces import _breaks, _rises, _rises_on_product, _vec_map
+from contred.spaces import _breaks, _vec_map
 
-from conftest import all_spaces_up_to, partial_maps_st, problems_st, spaces_st
+from conftest import partial_maps_st, problems_st, spaces_st
 
 # -- names with commas -------------------------------------------------------
 
@@ -407,13 +408,12 @@ def test_an_f_defined_past_the_reached_points_is_checked_on_the_whole_product(
         st.integers(0, p.cod.n - 1), label="extra value"
     )
     w, literal = _on_vectors(p, q, gvec, fvec)
-    with mock.patch.object(
-        reducibility, "_rises_on_product", wraps=_rises_on_product
-    ) as whole_product:
+    with mock.patch.object(reducibility, "_breaks", wraps=_breaks) as breaks:
         assert verify_witness2(p, q, w) == literal
     # past the equation and G's check, F is read on the whole product
     reaches = map_equal(replay2(w, q), p) and is_continuous(w.translation)
-    assert whole_product.called == reaches
+    on_product = [c for c in breaks.call_args_list if c.args[1] == product_space(p.dom, q.cod)]
+    assert len(on_product) == reaches
 
 
 def test_a_witness_built_from_maps_still_replays():
@@ -517,27 +517,6 @@ def test_a_yes_builds_no_map_and_no_product(monkeypatch):
     assert all(verify_witness2(p, q, w) for (p, q), w in zip(pairs, found))
 
 
-def test_rises_on_product_agrees_with_continuity_on_the_built_product():
-    # every F vector, several defined points per x included, on every
-    # triple of spaces on at most 2 points
-    small = all_spaces_up_to(2)
-    checked = 0
-    for X1, Y2, Y1 in itertools.product(small, repeat=3):
-        prod = product_space(X1, Y2)
-        for fv in itertools.product(range(-1, Y1.n), repeat=prod.n):
-            f = _vec_map("F", prod, Y1, fv)
-            assert _rises_on_product(fv, X1, Y2, Y1) == is_continuous(f), (X1, Y2, Y1, fv)
-            checked += 1
-    assert checked > 5_000
-
-
-def test_rises_agrees_with_breaks():
-    small = all_spaces_up_to(3)
-    for X, Y in itertools.product(small, repeat=2):
-        for vec in itertools.product(range(-1, Y.n), repeat=X.n):
-            assert _rises(vec, X, Y) == (not _breaks(vec, X, Y)), (X, Y, vec)
-
-
 def test_a_vector_one_entry_short_fails_the_replay():
     # the last point of C2 lies in an order pair, so a short vector is read
     # past its end unless its length is checked first
@@ -548,6 +527,44 @@ def test_a_vector_one_entry_short_fails_the_replay():
     short_f = Witness2._on(ID, ID, w2.spaces, gvec=w2.gvec, fvec=w2.fvec[:-1])
     assert not verify_witness2(ID, ID, short_f)
     assert not verify_witness0(ID, ID, Witness0._on(ID, ID, w0.spaces, gvec=w0.gvec[:-1]))
+
+
+I2 = indiscrete(2)
+# q' takes the values ID takes, on I2, into which every G is continuous: so
+# ID's witness vectors turn q' into ID, and only its spaces are wrong
+ID_ON_I2 = _vec_map("id'", I2, C2, (0, 1))
+
+
+def test_a_vector_witness_on_other_spaces_fails_the_replay():
+    w = le2_map(ID, ID)
+    assert w is not None and w.spaces == (C2, C2, C2, C2)
+    assert verify_witness2(ID, ID_ON_I2, Witness2(_vec_map("G", C2, I2, w.gvec), w.postprocess))
+    assert not verify_witness2(ID, ID_ON_I2, w)
+
+
+@pytest.mark.parametrize(
+    "spaces",
+    [(I2, C2, C2, C2), (C2, I2, C2, C2), (C2, C2, I2, C2), (C2, C2, C2, I2)],
+    ids=["G-dom", "G-cod", "F-factor", "F-cod"],
+)
+def test_a_witness_built_from_maps_on_other_spaces_fails_the_replay(spaces):
+    # the vectors that replay ID below ID, on maps with one space changed:
+    # G's domain or codomain, F's second factor or F's codomain
+    w = le2_map(ID, ID)
+    assert w is not None
+    assert verify_witness2(ID, ID, Witness2(w.translation, w.postprocess))
+    X, Z, Y, V = spaces
+    bad = Witness2(_vec_map("G", X, Z, w.gvec), _vec_map("F", product_space(C2, Y), V, w.fvec))
+    assert not verify_witness2(ID, ID, bad)
+
+
+def test_a_map_and_a_problem_fail_the_replay_either_way_round():
+    P = singleton_problem(ID)
+    w0, w2 = le0_map(ID, ID), le2_map(ID, ID)
+    assert verify_witness0(P, P, w0) and verify_witness2(P, P, w2)
+    for lhs, rhs in ((ID, P), (P, ID)):
+        assert not verify_witness0(lhs, rhs, w0)
+        assert not verify_witness2(lhs, rhs, w2)
 
 
 # -- corpus round trips on arbitrary bare tokens ------------------------------
