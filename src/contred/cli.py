@@ -231,11 +231,7 @@ def _cmd_search(args, items) -> int:
         if args.antichain < 2:
             raise CorpusError(f"--antichain needs 2 members or more, not {args.antichain}")
         fam = search_antichain(
-            args.antichain,
-            args.relation,
-            max_points=args.max_points,
-            seed=args.seed,
-            budget=args.budget,
+            args.antichain, args.relation, max_points=args.max_points, budget=args.budget
         )
         print(serialize(corpus_from_items(fam)), end="")
         return 0

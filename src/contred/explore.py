@@ -3,11 +3,13 @@
 This module sits on top of the deciders: it organizes families of maps
 or problems into the induced partial order of degrees (with DOT export),
 runs the level-slicing decomposition, checks the finite analog of
-admissibility, and hunts for maps with prescribed invariants or for
-antichains.  Everything returned by a search is re-verified by the
-deciders or the invariants machinery first; a fruitless search raises
-``SearchExhaustedError`` rather than pretending the target does not
-exist.  All randomness is seeded and deterministic.
+admissibility through the join's universal property (the join is never
+built), and hunts for maps with prescribed invariants, among seeded
+random candidates, or for antichains, in a fixed catalog.  Everything
+returned by a search is re-verified by the deciders or the invariants
+machinery first; a fruitless search raises ``SearchExhaustedError``
+rather than pretending the target does not exist.  All randomness is
+seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .invariants import (
     level,
 )
 from .kernel import Budget
-from .lattice import TaggedFamily, sup0, sup2, tagged
+from .lattice import TaggedFamily, sup2, tagged
 from .reducibility import (
     decide,
     enumerate_continuous_partial,
@@ -45,7 +47,6 @@ from .spaces import (
     Problem,
     Space,
     _bits,
-    _kept,
     _once,
     _restrict_mask,
     _vec_map,
@@ -53,6 +54,7 @@ from .spaces import (
     chain,
     discrete,
     indiscrete,
+    is_continuous,
     problem,
 )
 
@@ -261,22 +263,20 @@ def decompose_by_level(
 # -- admissibility --------------------------------------------------------
 
 
-def _full_continuous_sup(dom: Space, cod: Space) -> PartialMap:
-    fam = enumerate_continuous_partial(dom, cod)
-    return sup0(fam, cod=cod, name=f"allcont[{dom.name}>{cod.name}]")
-
-
 def admissible(f: PartialMap, budget: int | Budget | None = None) -> bool:
-    """Is f interchangeable with the join of every continuous partial
-    map sharing its source and target?
+    """Is f interchangeable, in the composition order, with the join of
+    every continuous partial map sharing its source and target?
 
-    Equivalent formulation: f bounds, and is bounded by, that join in
-    the composition order.
+    The join is a least upper bound, so it lies below f exactly when every
+    member does; and f lies below the join exactly when f is continuous,
+    for a continuous f is a member, and the join after a continuous G is
+    continuous.  So the join is never built: each member is decided
+    against f, a number ``budget`` bounding each decision apart.
     """
-    full = _kept(f.dom, ("allcont", f.cod), lambda: _full_continuous_sup(f.dom, f.cod))
-    if le0_map(f, full, budget) is None:
-        return False
-    return le0_map(full, f, budget) is not None
+    return is_continuous(f) and all(
+        le0_map(h, f, budget) is not None
+        for h in enumerate_continuous_partial(f.dom, f.cod)
+    )
 
 
 def is_surjective(f: PartialMap) -> bool:
@@ -465,16 +465,16 @@ def search_antichain(
     size: int,
     relation: str = "le2",
     max_points: int = 8,
-    seed: int = 0,
-    attempts: int = 200,
     budget: int | Budget | None = None,
     cap: int = 3,
 ) -> tuple[PartialMap, ...]:
     """Find pairwise-incomparable maps under the given reducibility.
 
-    Catalog families (constants for the composition order, invariant
-    profiles otherwise) are tried first, then seeded random pools; the
-    returned family is confirmed pairwise incomparable by the decider."""
+    Only catalog families are tried: constants for the composition order,
+    incomparable invariant profiles otherwise.  The returned family is
+    confirmed pairwise incomparable by the decider; when no catalog family
+    within ``max_points`` is one, ``SearchExhaustedError`` says that none
+    was found, not that none exists."""
     if size < 2:
         raise ValueError("an antichain needs at least two members")
 
@@ -489,18 +489,6 @@ def search_antichain(
     for fam in _antichain_catalog(size, relation, max_points, cap):
         if len(fam) == size and pairwise_incomparable(fam):
             return tuple(fam)
-    rng = _rng("antichain", size, relation, seed)
-    pool: list[PartialMap] = []
-    cod = discrete(min(size, 3)) if relation == "le0" else None
-    for _ in range(attempts if max_points >= 1 else 0):
-        n = rng.randint(1, min(4, max_points))
-        dom = random_space(n, rng.choice([0.0, 0.3, 0.6]), rng.randrange(1 << 30))
-        target = cod or discrete(rng.randint(1, 3))
-        pool.append(random_map(dom, target, rng.randrange(1 << 30)))
-        if len(pool) >= size:
-            for fam in combinations(pool[-12:], size):
-                if pairwise_incomparable(fam):
-                    return tuple(fam)
     raise SearchExhaustedError(
         f"no antichain of size {size} under {relation} found "
         f"within {max_points} points"

@@ -15,12 +15,14 @@ must work for every member of the right-hand problem, sending it into the
 left-hand problem.
 
 Every returned witness is replayed against the defining equation before
-it leaves this module; a successful decision can therefore be trusted
-without re-deriving it.  A decision ends with the index vectors of G (and
-F) and the replay reads those vectors; the witness builds its maps only
-when a caller first reads them.  Searches count candidate extensions
-against a budget and raise :class:`CapacityError` when it runs out —
-exhaustion is never reported as "no".
+it leaves this module, so a successful decision can be trusted without
+re-deriving it.  :func:`compose_witness0` and :func:`compose_witness2`
+are the exceptions: they get no items to replay against, so their caller
+replays.  A decision ends with the index vectors of G (and F) and the
+replay reads those vectors; the witness builds its maps only when a
+caller first reads them.  Searches count candidate extensions against a
+budget and raise :class:`CapacityError` when it runs out — exhaustion is
+never reported as "no".
 
 The fast searches and the enumeration of continuous maps run on the
 backtracking kernel of :mod:`contred.kernel`; the definitional oracle
@@ -706,9 +708,10 @@ def verify_witness2(
 def witness0_to_witness2(
     lhs: PartialMap | Problem, rhs: PartialMap | Problem, w: Witness0
 ) -> Witness2:
-    """A composition reduction is a one-query reduction that ignores the input."""
+    """A composition reduction is a one-query reduction that ignores the
+    input; replayed, so a witness for another pair raises."""
     prod = product((lhs.dom, rhs.cod))
-    return Witness2(w.translation, prod.projections[1])
+    return _replayed(lhs, rhs, Witness2(w.translation, prod.projections[1]))
 
 
 def compose_witness0(w_ab: Witness0, w_bc: Witness0) -> Witness0:

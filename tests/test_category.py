@@ -96,6 +96,33 @@ def test_unit_law_violation_rejected():
         FinCategory("bad", ("*",), morphisms, {"*": "1"}, table)
 
 
+def _two_objects(table):
+    morphisms = (Morphism("1x", "x", "x"), Morphism("1y", "y", "y"), Morphism("f", "x", "y"))
+    return FinCategory("bad", ("x", "y"), morphisms, {"x": "1x", "y": "1y"}, table)
+
+
+def _right_unit_fails():
+    # 1 after a is a, but a after 1 is 1
+    morphisms = (Morphism("1", "*", "*"), Morphism("a", "*", "*"))
+    table = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "1", ("a", "a"): "a"}
+    return FinCategory("bad", ("*",), morphisms, {"*": "1"}, table)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: _two_objects({("1x", "zz"): "1x"}), "names a stranger"),
+        (lambda: _two_objects({("1x", "1y"): "1x"}), "is not composable"),
+        (lambda: _two_objects({("f", "1x"): "1y"}), "wrong endpoints"),
+        (_right_unit_fails, "right unit law fails at a"),
+    ],
+    ids=["stranger", "not-composable", "wrong-endpoints", "right-unit"],
+)
+def test_category_table_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_associativity_violation_rejected():
     core = {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
     with pytest.raises(ValueError, match="associativity"):
@@ -423,3 +450,4 @@ def test_thin_joins_on_a_diamond():
     assert thin_coproduct(cat, "x", "y") == "t"
     assert thin_pullback(cat, "x", "y") == "b"
     assert thin_coproduct(cat, "b", "x") == "x"
+

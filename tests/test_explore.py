@@ -32,6 +32,7 @@ from contred import (
     injective_indiscrete_map,
     is_continuous,
     is_surjective,
+    le0_map,
     le2_map,
     level,
     make_map,
@@ -39,6 +40,7 @@ from contred import (
     mod_chain_map,
     parse,
     problem,
+    random_continuous_map,
     random_map,
     random_partial_map,
     random_problem,
@@ -55,7 +57,16 @@ from contred import (
 )
 from contred.explore import enumerate_continuous_partial, enumerate_continuous_total
 
-from conftest import all_spaces_up_to, assert_valid_dot, problems_st, run_python, seeds, spaces_st
+from conftest import (
+    all_partial_maps,
+    all_spaces_up_to,
+    all_total_maps,
+    assert_valid_dot,
+    problems_st,
+    run_python,
+    seeds,
+    spaces_st,
+)
 
 S2 = sierpinski()
 D2 = discrete(2)
@@ -465,12 +476,41 @@ def test_surjections_from_discrete_domains_are_admissible():
 
 
 def test_the_reference_join_itself_is_admissible():
-    from contred.explore import _full_continuous_sup
-
-    # checking the reference join re-derives a reference for its own,
-    # much larger, domain, so only the smallest instance stays in budget
-    ref = _full_continuous_sup(discrete(1), D2)
+    ref = sup0(enumerate_continuous_partial(discrete(1), D2), cod=D2)
     assert admissible(ref)
+
+
+def _admissible_by_definition(f):
+    # the literal definition: f and the join of every continuous partial
+    # map with f's source and target, each le0 below the other
+    join = sup0(enumerate_continuous_partial(f.dom, f.cod), cod=f.cod)
+    return le0_map(f, join) is not None and le0_map(join, f) is not None
+
+
+def test_admissible_agrees_with_the_join_it_never_builds():
+    maps = [
+        f
+        for X in all_spaces_up_to(2)
+        for Y in (discrete(1), D2, S2)
+        for every in (all_total_maps, all_partial_maps)
+        for f in every(X, Y)
+    ]
+    for s in range(8):
+        X = random_space(3, 0.3, s)
+        for Y in (D2, S2):
+            maps += [random_map(X, Y, s), random_partial_map(X, Y, s)]
+            maps.append(random_continuous_map(X, Y, s))
+    verdicts = [admissible(f) for f in maps]
+    assert verdicts == [_admissible_by_definition(f) for f in maps]
+    assert True in verdicts and False in verdicts
+
+
+def test_admissible_answers_where_the_join_runs_out():
+    # 706 members: their join's le0 search on this 6-point domain spends
+    # the default budget, while the members answer no one by one
+    f = random_continuous_map(random_space(6, 0.3, 1), chain(3), 1)
+    assert len(enumerate_continuous_partial(f.dom, f.cod)) == 706
+    assert admissible(f) is False
 
 
 def test_surjectivity_helper():
@@ -533,7 +573,7 @@ def test_searches_stay_within_zero_points():
         search_lev_bas_witness(1, 1, max_points=0, seed=0)
     for relation in ("le0", "le2", "lect"):
         with pytest.raises(SearchExhaustedError):
-            search_antichain(2, relation=relation, max_points=0, seed=0)
+            search_antichain(2, relation=relation, max_points=0)
 
 
 def _pairwise_incomparable(fam, relation):
@@ -543,46 +583,59 @@ def _pairwise_incomparable(fam, relation):
 
 
 def test_antichains_of_constants_under_composition_order():
-    fam = search_antichain(2, relation="le0", seed=0)
+    fam = search_antichain(2, relation="le0")
     assert len(fam) == 2
     _pairwise_incomparable(fam, "le0")
 
 
 def test_antichains_under_one_query_order():
     for size in (2, 3):
-        fam = search_antichain(size, relation="le2", seed=0)
+        fam = search_antichain(size, relation="le2")
         assert len(fam) == size
         _pairwise_incomparable(fam, "le2")
 
 
 def test_antichain_under_capped_parallel_order():
-    fam = search_antichain(2, relation="lect", max_points=9, seed=0)
+    fam = search_antichain(2, relation="lect", max_points=9)
     assert len(fam) == 2
     _pairwise_incomparable(fam, "lect")
 
 
-@pytest.mark.parametrize("relation", ["le2", "lect"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_antichain_search_builds_its_pool_and_finds_none_on_two_points(
-    monkeypatch, relation, seed
-):
-    # no catalog family fits in 2 points, so the seeded pool is all there is
-    drawn = []
+# per relation and size: the least max_points at which the catalog holds
+# an antichain, and its members; None where it holds none within 9 points
+CATALOG_ANTICHAINS = {
+    ("le0", 2): (1, ["k0", "k1"]),
+    ("le0", 3): (1, ["k0", "k1", "k2"]),
+    ("le2", 2): (3, ["blur2", "mod3x3"]),
+    ("le2", 3): (5, ["blur2", "mod3x5", "mod4x4"]),
+    ("lect", 2): (9, ["blur2", "mod9x9"]),
+    ("lect", 3): None,
+}
 
-    def drawing(*args):
-        drawn.append(random_map(*args))
-        return drawn[-1]
+
+@pytest.mark.parametrize("relation", ["le0", "le2", "lect"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_antichain_search_answers_from_the_catalog_alone(monkeypatch, relation, size):
+    def drawing(*args, **kwargs):
+        raise AssertionError("search_antichain drew a map")
 
     monkeypatch.setattr(contred.explore, "random_map", drawing)
-    with pytest.raises(SearchExhaustedError):
-        search_antichain(2, relation=relation, max_points=2, seed=seed)
-    assert len(drawn) == 200 and all(1 <= f.dom.n <= 2 for f in drawn)
+    monkeypatch.setattr(contred.explore, "random_space", drawing)
+    first, names = CATALOG_ANTICHAINS[relation, size] or (None, None)
+    for max_points in range(10):
+        if first is not None and max_points >= first:
+            fam = search_antichain(size, relation=relation, max_points=max_points)
+            assert [f.name for f in fam] == names
+            _pairwise_incomparable(fam, relation)
+        else:
+            with pytest.raises(SearchExhaustedError):
+                search_antichain(size, relation=relation, max_points=max_points)
 
 
 def test_no_antichain_of_total_maps_on_two_points():
-    # so the pool above rightly finds none: every total map on at most 2
-    # points into discrete(1..3) is le2-comparable with every other, and
-    # le2 lies inside lect
+    # so no search within 2 points could find one: every total map on at
+    # most 2 points into discrete(1..3) is le2-comparable with every other,
+    # and le2 lies inside lect
     maps = [
         make_map("f", X, discrete(m), dict(zip(X.points, (str(v) for v in vals))))
         for X in all_spaces_up_to(2)
@@ -631,3 +684,26 @@ def test_random_problem_is_deterministic_and_sized(dom, cod, seed, size):
     assert len({m.vec for m in p.members}) == len(p.members)
     for m in p.members:
         assert m.dom == dom and m.cod == cod
+
+
+# -- refusals no other test reaches ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: degree_poset([flip]).class_of(5), "no item with index 5"),
+        (lambda: random_map(S2, discrete(0)), "no total map"),
+        (lambda: random_continuous_map(S2, discrete(0)), "no continuous total maps"),
+    ],
+    ids=["class-of-stranger", "random-map-into-empty", "continuous-map-into-empty"],
+)
+def test_explore_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_random_continuous_map_renames_its_pick():
+    pick = random_continuous_map(S2, D2, 3)
+    named = random_continuous_map(S2, D2, 3, name="n")
+    assert named.name == "n" != pick.name and named.vec == pick.vec

@@ -541,3 +541,33 @@ def test_splitting_re_decides_the_pieces_and_their_rejoin(
     with pytest.raises(ContredError) as exc:
         split(*args)
     assert str(exc.value) == message
+
+
+# -- refusals no other test reaches ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: fibered_with_projections([]), ValueError, "at least one map"),
+        (
+            lambda: fibered_with_projections([empty_map(S2, D2)]),
+            ValueError,
+            "total maps",
+        ),
+        (
+            lambda: sup0_least_witness([c0, c1], step, [le0_map(c0, step)]),
+            InvalidWitnessError,
+            "member witnesses do not fit the family",
+        ),
+        (
+            lambda: sup2_least_witness([c0, c1], step, [le2_map(c0, step)]),
+            InvalidWitnessError,
+            "member witnesses do not fit the family",
+        ),
+    ],
+    ids=["fibered-empty", "fibered-partial", "sup0-one-witness", "sup2-one-witness"],
+)
+def test_lattice_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -543,6 +543,14 @@ def test_composition_reducibility_refines_one_query(dom, cod, s1, s2):
         assert le2_fn(f, g) is not None
 
 
+def test_a_lifted_composition_witness_is_replayed():
+    w = le0_map(c0, step)
+    assert verify_witness2(c0, step, witness0_to_witness2(c0, step, w))
+    # the same witness does not send step to c1
+    with pytest.raises(InvalidWitnessError):
+        witness0_to_witness2(c1, step, w)
+
+
 @settings(max_examples=60, deadline=None)
 @given(total_maps_st(max_points=3), total_maps_st(max_points=3))
 def test_positive_one_query_verdicts_carry_valid_witnesses(f, g):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from contred import (
     CapacityError,
     PartialMap,
+    Problem,
     Relation,
     SpaceMismatchError,
     Space,
@@ -501,3 +502,42 @@ def test_members_sharing_a_name_keep_their_order_by_table():
     members = problem("P", S, S, same).members
     assert [m.table for m in members] == sorted(m.table for m in same)
     assert all("table" in m.__dict__ for m in same)
+
+
+# -- refusals no other test reaches ----------------------------------------
+
+
+def _problem_on_other_spaces():
+    return Problem("P", S2, D2, (identity_map(S2),))
+
+
+def _contains_on_other_spaces():
+    return problem("P", S2, D2).contains(identity_map(S2))
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: Space("X", ("a", "a"), (1, 2)), ValueError, "duplicate point"),
+        (lambda: Space("X", ("a",), ()), ValueError, "arity"),
+        (lambda: Space("X", ("a",), (3,)), ValueError, "out of range"),
+        (lambda: discrete(21).opens, CapacityError, "2\\*\\*21"),
+        (lambda: build_space("X", ["a"], [("b", "a")]), ValueError, "undeclared point 'b'"),
+        (lambda: make_map("h", S2, S2, {"s1": "s0"})("s0"), ValueError, "undefined at 's0'"),
+        (_problem_on_other_spaces, SpaceMismatchError, "mismatched spaces"),
+        (_contains_on_other_spaces, SpaceMismatchError, "mismatched spaces"),
+    ],
+    ids=[
+        "duplicate-point", "arity", "out-of-range", "opens-capacity",
+        "undeclared-below", "undefined-call", "problem-members", "problem-contains",
+    ],
+)
+def test_spaces_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_long_chains_and_the_row_constructor():
+    assert chain(27).points == tuple(f"c{i}" for i in range(27))
+    rows = (("s0", "s1"), ("s1", "s0"))
+    assert PartialMap("flip", S2, S2, rows) == make_map("flip", S2, S2, rows)
