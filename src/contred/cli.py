@@ -241,9 +241,7 @@ def _cmd_search(args, items) -> int:
         target = UNBOUNDED if args.lev == "unbounded" else LevelValue(int(args.lev))
     except ValueError:
         raise CorpusError(f"--lev takes a natural number or unbounded, not {args.lev!r}")
-    found = search_lev_bas_witness(
-        target, args.bas, max_points=args.max_points, seed=args.seed
-    )
+    found = search_lev_bas_witness(target, args.bas, max_points=args.max_points)
     print(serialize(corpus_from_items([found])), end="")
     return 0
 
@@ -304,7 +302,7 @@ COMMANDS = {
         _cmd_search, "hunt for invariant witnesses or antichains", None,
         (_Opt("--lev"), _Opt("--bas", int), _Opt("--antichain", int),
          _Opt("--relation", default="le2", choices=_RELATIONS), _Opt("--max-points", int, 8),
-         _Opt("--seed", int, required=True), _BUDGET),
+         _BUDGET),
         takes=None,
     ),
 }

@@ -4,11 +4,12 @@ This module sits on top of the deciders: it organizes families of maps
 or problems into the induced partial order of degrees (with DOT export),
 runs the level-slicing decomposition, checks the finite analog of
 admissibility through the join's universal property (the join is never
-built), and hunts for maps with prescribed invariants, among seeded
-random candidates, or for antichains, in a fixed catalog.  Everything
-returned by a search is re-verified by the deciders or the invariants
-machinery first; a fruitless search raises ``SearchExhaustedError``
-rather than pretending the target does not exist.  All randomness is
+built), and hunts for maps with prescribed invariants or for antichains,
+each in a fixed catalog.  Everything returned by a search is re-verified
+by the deciders or the invariants machinery first.  A fruitless invariant
+search raises ``SearchExhaustedError`` because its catalog is complete:
+no map within the bound has the target.  A fruitless antichain search
+raises it without saying that none exists.  The random generators are
 seeded and deterministic.
 """
 
@@ -21,7 +22,6 @@ from typing import Sequence
 
 from .errors import (
     ContredError,
-    InvalidWitnessError,
     SearchExhaustedError,
     SpaceMismatchError,
 )
@@ -29,9 +29,7 @@ from .invariants import (
     UNBOUNDED,
     LevelValue,
     _level_chain,
-    basesize,
     invariant_report,
-    level,
 )
 from .kernel import Budget
 from .lattice import TaggedFamily, sup2, tagged
@@ -385,52 +383,38 @@ def random_problem(
 # -- searches -------------------------------------------------------------
 
 
-def _matches_targets(m: PartialMap, lev_t: LevelValue, bas_t: int) -> bool:
-    return level(m, 1) == lev_t and basesize(m) == bas_t
-
-
 def search_lev_bas_witness(
-    target_lev: int,
-    target_bas: int,
-    max_points: int = 8,
-    seed: int = 0,
-    attempts: int = 300,
+    target_lev: int, target_bas: int, max_points: int = 8
 ) -> PartialMap:
-    """Find a total map with the requested first-variant level and
-    basesize.  Random candidates first, then a deterministic cyclically
-    labeled chain; every hit is re-verified through the full invariant
-    report before being returned."""
+    """A total map with the requested first-variant level and basesize on
+    at most ``max_points`` points, from a catalog that is complete.
+
+    A finite level k needs k defined points, for each round removes one at
+    least; the basesize never exceeds level 1; basesize 1 means the map is
+    continuous, so level 1; and an unbounded level needs basesize 2 at
+    least, so that many points.  The catalog realises each other profile
+    on as few points as that: the 0-point map (0, 0), ``mod_chain_map(k,
+    b)`` (k, b) on k points for 2 <= b <= k or k = b = 1, and
+    ``injective_indiscrete_map(b)`` (unbounded, b) on b points.  So when
+    the candidate's invariant report misses the target, no map within
+    ``max_points`` has it, and ``SearchExhaustedError`` says so."""
     lev_t = LevelValue(target_lev)
     if not 0 <= target_bas <= lev_t:
         raise ValueError("basesize target must lie between 0 and the level target")
-
-    def verified(m: PartialMap) -> PartialMap:
-        report = invariant_report(m)
-        if report.lev1 != lev_t or report.bas != target_bas:
-            raise InvalidWitnessError(
-                f"{m.name!r} has level {report.lev1} and basesize {report.bas}"
-            )
-        return m
-
     candidates: list[PartialMap] = []
     if lev_t == 0 and target_bas == 0:
         candidates.append(_vec_map("void", chain(0), discrete(1), ()))
-    rng = _rng("search", lev_t, target_bas, seed)
-    for _ in range(attempts if max_points >= 1 else 0):
-        n = rng.randint(1, max_points)
-        dom = random_space(n, rng.choice([0.2, 0.4, 0.7]), rng.randrange(1 << 30))
-        cod = discrete(rng.randint(1, min(4, max(1, n))))
-        candidates.append(random_map(dom, cod, rng.randrange(1 << 30)))
     if 1 <= target_bas <= lev_t <= max_points:
         candidates.append(mod_chain_map(lev_t.value, target_bas))
     if lev_t == UNBOUNDED and 2 <= target_bas <= max_points:
         candidates.append(injective_indiscrete_map(target_bas))
     for m in candidates:
-        if _matches_targets(m, lev_t, target_bas):
-            return verified(m)
+        report = invariant_report(m)
+        if report.lev1 == lev_t and report.bas == target_bas:
+            return m
     raise SearchExhaustedError(
         f"no map with level {lev_t} and basesize {target_bas} "
-        f"within {max_points} points ({attempts} random attempts)"
+        f"exists within {max_points} points"
     )
 
 

@@ -28,18 +28,23 @@ from .spaces import PartialMap, Problem, _bits, conflict_structure
 
 
 class LevelValue(int):
-    """A natural number, or UNBOUNDED (``LevelValue(None)``) above all of
-    them.  UNBOUNDED is stored as ``sys.maxsize``, which no level reaches:
-    a chain stops within |dom| + 1 stages."""
+    """A natural number below ``sys.maxsize``, or UNBOUNDED
+    (``LevelValue(None)``) above all of them.  UNBOUNDED is stored as
+    ``sys.maxsize``, which no level reaches: a chain stops within
+    |dom| + 1 stages.  A LevelValue given keeps its value."""
 
     __slots__ = ()
 
     def __new__(cls, value: int | None = None) -> "LevelValue":
         if value is None:
             value = sys.maxsize
-        elif value < 0:
-            raise ValueError("levels are natural numbers")
+        elif not 0 <= value < sys.maxsize and not isinstance(value, LevelValue):
+            raise ValueError("levels are natural numbers below sys.maxsize")
         return super().__new__(cls, value)
+
+    def __getnewargs__(self) -> tuple[int | None]:
+        # pickle and copy rebuild UNBOUNDED from None, not from sys.maxsize
+        return (self.value,)
 
     @property
     def value(self) -> int | None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import itertools
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -274,46 +275,61 @@ def test_admissible_verdicts(clt, capsys):
 
 
 def test_search_lev_bas(capsys):
-    assert main(["search", "--lev", "2", "--bas", "2", "--seed", "7"]) == 0
+    assert main(["search", "--lev", "2", "--bas", "2"]) == 0
     built = parse(capsys.readouterr().out)
     assert len(built.maps) == 1
 
 
 def test_search_unbounded_level(capsys):
-    args = ["search", "--lev", "unbounded", "--bas", "2", "--seed", "3"]
+    args = ["search", "--lev", "unbounded", "--bas", "2"]
     assert main(args) == 0
     assert len(parse(capsys.readouterr().out).maps) == 1
 
 
 def test_search_antichain(capsys):
-    args = ["search", "--antichain", "2", "--relation", "le2", "--seed", "5"]
+    args = ["search", "--antichain", "2", "--relation", "le2"]
     assert main(args) == 0
     assert len(parse(capsys.readouterr().out).maps) == 2
 
 
 def test_search_flag_conflicts(capsys):
-    assert main(["search", "--lev", "2", "--seed", "1"]) == 2
+    assert main(["search", "--lev", "2"]) == 2
     assert "needs --lev with --bas" in capsys.readouterr().err
-    args = ["search", "--antichain", "2", "--lev", "2", "--bas", "2", "--seed", "1"]
+    args = ["search", "--antichain", "2", "--lev", "2", "--bas", "2"]
     assert main(args) == 2
     assert "excludes" in capsys.readouterr().err
-    assert main(["search", "--lev", "x", "--bas", "1", "--seed", "1"]) == 2
+    assert main(["search", "--lev", "x", "--bas", "1"]) == 2
     err = capsys.readouterr().err
     assert "--lev takes a natural number or unbounded, not 'x'" in err
-    assert main(["search", "--lev", "-1", "--bas", "1", "--seed", "1"]) == 2
+    assert main(["search", "--lev", "-1", "--bas", "1"]) == 2
     err = capsys.readouterr().err
     assert "--lev takes a natural number or unbounded, not '-1'" in err
+    # sys.maxsize stands for unbounded, so it is no natural level
+    big = str(sys.maxsize)
+    assert main(["search", "--lev", big, "--bas", "2", "--max-points", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--lev takes a natural number or unbounded, not '{big}'" in out.err
+
+
+def test_search_takes_no_seed(capsys):
+    # the catalogs draw nothing, so there is no seed to give
+    assert main(["search", "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
+    assert main(["search", "--lev", "2", "--bas", "2", "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --seed 1" in out.err
 
 
 def test_search_exhaustion_is_exit_three(capsys):
     args = [
         "search", "--lev", "5", "--bas", "5",
-        "--max-points", "2", "--seed", "1",
+        "--max-points", "2",
     ]
     assert main(args) == 3
     assert "budget exhausted" in capsys.readouterr().err
-    # no point to draw on: nothing is found, and nothing crashes
-    args = ["search", "--antichain", "2", "--max-points", "0", "--seed", "1"]
+    # no point to build on: nothing is found, and nothing crashes
+    args = ["search", "--antichain", "2", "--max-points", "0"]
     assert main(args) == 3
     assert "budget exhausted: no antichain" in capsys.readouterr().err
 
@@ -321,11 +337,11 @@ def test_search_exhaustion_is_exit_three(capsys):
 def test_negative_search_counts_are_usage_errors(capsys):
     # as --budget -1 and --lev -1 are: exit 2, with the flag named
     for argv, flag in (
-        (["search", "--lev", "1", "--bas", "1", "--seed", "1", "--max-points", "-1"],
+        (["search", "--lev", "1", "--bas", "1", "--max-points", "-1"],
          "--max-points"),
-        (["search", "--antichain", "2", "--max-points", "-1", "--seed", "1"],
+        (["search", "--antichain", "2", "--max-points", "-1"],
          "--max-points"),
-        (["search", "--lev", "1", "--bas", "-1", "--seed", "1"], "--bas"),
+        (["search", "--lev", "1", "--bas", "-1"], "--bas"),
     ):
         assert main(argv) == 2
         out = capsys.readouterr()
@@ -337,7 +353,7 @@ def test_negative_search_counts_are_usage_errors(capsys):
 def test_antichain_sizes_below_two_are_usage_errors(capsys, size):
     # as with the other search counts, a size below two is a usage error
     # that names its flag: exit 2, nothing on stdout
-    assert main(["search", "--antichain", size, "--seed", "1"]) == 2
+    assert main(["search", "--antichain", size]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: --antichain ") and out.err.endswith(f" not {size}\n")
@@ -348,7 +364,7 @@ def test_search_rejects_positionals(capsys):
     # when they exist nowhere
     args = [
         "search", "ghost", "nope.clt", "--lev", "2", "--bas", "2",
-        "--max-points", "3", "--seed", "7",
+        "--max-points", "3",
     ]
     assert main(args) == 2
     out = capsys.readouterr()
@@ -776,9 +792,9 @@ def _argparse(argv):
         ["inf", "--name", "le2", "a", "f.clt"],
         ["decompose", "a", "f.clt", "--thresholds", "1,2"],
         ["admissible", "a", "f.clt"],
-        ["search", "--lev", "unbounded", "--bas", "2", "--seed", "3"],
+        ["search", "--lev", "unbounded", "--bas", "2"],
         ["search", "--antichain", "2", "--relation", "lect", "--max-points", "4",
-         "--seed", "5", "--budget", "7"],
+         "--budget", "7"],
         ["poset", "le2"],
         ["sup", "le0", ""],
     ],
@@ -792,20 +808,20 @@ def test_plain_lines_are_read_as_argparse_reads_them(argv):
 @pytest.mark.parametrize(
     "argv, argparse_reads_it",
     [
-        (["search", "--relation", "le9", "--seed", "1"], False),
+        (["search", "--relation", "le9"], False),
         (["sup", "le2", "a", "--name", "-x"], False),
         (["poset", "le2", "--cap", "-x"], False),
         (["poset", "le2", "a", "--cap"], False),
         (["poset", "le9", "a"], False),
         (["poset", "--dot", "a.clt"], False),
         (["decompose", "a", "f.clt"], False),
-        (["search", "--lev", "2"], False),
-        (["search", "a", "--seed", "1"], False),
+        (["search", "--seed", "1"], False),
+        (["search", "a"], False),
         (["check", "le2", "a", "--dot"], False),
         (["poset", "le2", "--help"], False),
         (["poset", "le2", "--cap=2", "a"], True),
         (["check", "le2", "--wit", "a", "b"], True),
-        (["search", "--lev", "-1", "--seed", "1"], True),
+        (["search", "--lev", "-1"], True),
         (["poset", "le2", "--cap", "-1", "a"], True),
     ],
 )

@@ -45,9 +45,8 @@ def commands() -> list[list[str]]:
     out.append(["sup", "le2", *MAPS, fx])
     out.append(["sup", "le2", *MAPS, fx, "--name", "J"])
     out.append(["inf", *INTO_DISCRETE2, fx])
-    out.append(["search", "--lev", "2", "--bas", "2", "--max-points", "3", "--seed", "7"])
-    out.append(["search", "--antichain", "2", "--relation", "le2", "--max-points", "5",
-                "--seed", "3"])
+    out.append(["search", "--lev", "2", "--bas", "2", "--max-points", "3"])
+    out.append(["search", "--antichain", "2", "--relation", "le2", "--max-points", "5"])
     return out
 
 

@@ -546,13 +546,13 @@ def test_injective_indiscrete_map_profiles():
 
 
 def test_search_finds_requested_level_and_base_profiles():
-    f = search_lev_bas_witness(1, 1, seed=0)
+    f = search_lev_bas_witness(1, 1)
     assert level(f, 1) == 1 and basesize(f) == 1
-    g = search_lev_bas_witness(3, 2, seed=0)
+    g = search_lev_bas_witness(3, 2)
     assert level(g, 1) == 3 and basesize(g) == 2
-    h = search_lev_bas_witness(UNBOUNDED, 2, seed=0)
+    h = search_lev_bas_witness(UNBOUNDED, 2)
     assert level(h, 1) is UNBOUNDED and basesize(h) == 2
-    e = search_lev_bas_witness(0, 0, seed=0)
+    e = search_lev_bas_witness(0, 0)
     assert e.defined_on == frozenset()
 
 
@@ -563,14 +563,52 @@ def test_search_rejects_base_above_level():
 
 def test_search_reports_exhaustion_distinctly():
     with pytest.raises(SearchExhaustedError):
-        search_lev_bas_witness(5, 5, max_points=2, seed=0, attempts=2)
+        search_lev_bas_witness(5, 5, max_points=2)
+
+
+def _fewest_points_by_profile():
+    """(level 1, basesize) -> the fewest points of a map that has it, over
+    every total and partial map on at most 3 points into a few codomains."""
+    fewest = {}
+    for X in all_spaces_up_to(3):
+        for Y in (discrete(1), D2, discrete(3), chain(2), C3, S2, I2):
+            for f in all_partial_maps(X, Y):
+                profile = level(f, 1), basesize(f)
+                fewest[profile] = min(fewest.get(profile, X.n), X.n)
+    return fewest
+
+
+def test_the_level_and_base_catalog_is_complete():
+    # the search answers a target within max_points exactly when some map
+    # on that many points has it, and only with a map that has it
+    fewest = _fewest_points_by_profile()
+    for max_points in range(4):
+        for lev in [*range(5), UNBOUNDED]:
+            for bas in range(min(lev, 4) + 1):
+                if fewest.get((lev, bas), max_points + 1) <= max_points:
+                    f = search_lev_bas_witness(lev, bas, max_points)
+                    assert (level(f, 1), basesize(f)) == (lev, bas)
+                    assert f.dom.n <= max_points and f.is_total
+                else:
+                    with pytest.raises(SearchExhaustedError, match="exists within"):
+                        search_lev_bas_witness(lev, bas, max_points)
+
+
+def test_the_level_and_base_search_draws_nothing(monkeypatch):
+    def drawing(*args, **kwargs):
+        raise AssertionError("search_lev_bas_witness drew")
+
+    for name in ("random_space", "random_map", "_rng"):
+        monkeypatch.setattr(contred.explore, name, drawing)
+    f = search_lev_bas_witness(2, 2, max_points=10**6)
+    assert f.dom.n == 2 and (level(f, 1), basesize(f)) == (2, 2)
 
 
 def test_searches_stay_within_zero_points():
-    # the 0-point map is the one candidate; nothing may draw a point
-    assert search_lev_bas_witness(0, 0, max_points=0, seed=0).dom.n == 0
+    # the 0-point map is the one candidate within no point
+    assert search_lev_bas_witness(0, 0, max_points=0).dom.n == 0
     with pytest.raises(SearchExhaustedError):
-        search_lev_bas_witness(1, 1, max_points=0, seed=0)
+        search_lev_bas_witness(1, 1, max_points=0)
     for relation in ("le0", "le2", "lect"):
         with pytest.raises(SearchExhaustedError):
             search_antichain(2, relation=relation, max_points=0)

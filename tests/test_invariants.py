@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -75,8 +76,11 @@ def test_level_values_order_like_naturals_with_a_top():
     assert LevelValue(3) == 3 and LevelValue(3) <= 3
     assert max(LevelValue(5), UNBOUNDED) is UNBOUNDED
     assert str(UNBOUNDED) == "unbounded" and str(LevelValue(2)) == "2"
-    with pytest.raises(ValueError):
-        LevelValue(-1)
+    # sys.maxsize stands for UNBOUNDED, so no natural level reaches it
+    for bad in (-1, sys.maxsize, 10**20):
+        with pytest.raises(ValueError):
+            LevelValue(bad)
+    assert LevelValue(UNBOUNDED).is_unbounded and LevelValue(LevelValue(3)) == 3
 
 
 def test_level_values_are_ints():
