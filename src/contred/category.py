@@ -22,7 +22,14 @@ from typing import Callable, Sequence
 
 from .errors import CapacityError, ContredError, SpaceMismatchError
 from .explore import DegreePoset
-from .lattice import _common_cod, _tupling, fibered_with_projections, sup0, tagged
+from .lattice import (
+    TaggedFamily,
+    _common_cod,
+    _family,
+    _tupling,
+    fibered_with_projections,
+    sup0,
+)
 from .spaces import (
     PartialMap,
     Space,
@@ -278,8 +285,7 @@ class CoproductResultCat:
 
 
 def coproduct_with_mediator(
-    cone: Sequence[PartialMap],
-    tags: Sequence[str] | None = None,
+    cone: Sequence[PartialMap] | TaggedFamily,
     cod: Space | None = None,
     cap: int = HOM_CAP,
 ) -> CoproductResultCat:
@@ -290,11 +296,11 @@ def coproduct_with_mediator(
     uniqueness is confirmed by exhausting every total map out of the
     coproduct (capacity-guarded).
     """
-    cone = tuple(cone)
+    fam = _family(cone)
+    cone = fam.items
     for m in cone:
         if not m.is_total:
             raise ValueError("cone maps must be total")
-    fam = tagged(cone, tags)
     z = _common_cod(cone, cod)
     cop = coproduct([m.dom for m in cone], fam.tags)
     mediator = sup0(fam, cod=z, name="copair(" + ",".join(m.name for m in cone) + ")")
@@ -321,9 +327,8 @@ class PullbackResultCat:
 
 
 def pullback_with_mediator(
-    maps: Sequence[PartialMap],
+    maps: Sequence[PartialMap] | TaggedFamily,
     cone: Sequence[PartialMap] | None = None,
-    tags: Sequence[str] | None = None,
     cap: int = HOM_CAP,
 ) -> PullbackResultCat:
     """Pullback of a finite family over their shared codomain.
@@ -333,11 +338,10 @@ def pullback_with_mediator(
     cone is supplied, its mediator is computed by tupling, replayed
     against the equations, and confirmed unique by exhaustion.
     """
-    maps = tuple(maps)
+    maps = _family(maps).items
     if not maps:
         raise ValueError("pullback needs at least one map")
-    fam = tagged(maps, tags)
-    sub, projections, common = fibered_with_projections(fam)
+    sub, projections, common = fibered_with_projections(maps)
     for f, p in zip(maps, projections):
         if not map_equal(compose(f, p), common):
             raise ContredError("pullback composite depends on the leg")

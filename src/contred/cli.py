@@ -4,11 +4,11 @@ Items live in .clt corpus files; any argument ending in ``.clt`` names a
 corpus file and every other positional is an item declared in one of
 them.  ``main`` looks the items up before any command runs, so a name of
 the wrong kind (a space, a relation, a problem where only maps are taken)
-is a usage error.  Exit codes: 0 yes/success, 1 no (for ``check``), 2
-usage or corpus errors, 3 exhausted search/capacity budgets.  Search
-budgets obey ``--budget`` first, then the ``CONTRED_BUDGET`` environment
-variable.  Every command reads its files afresh, but a text read before in
-the same process reuses the items parsed from it.
+is a usage error.  Exit codes: 0 yes/success, 1 no (for ``check`` and
+``search --lev/--bas``), 2 usage or corpus errors, 3 exhausted
+search/capacity budgets.  Search budgets come from ``--budget`` alone.
+Every command reads its files afresh, but a text read before in the same
+process reuses the items parsed from it.
 
 ``COMMANDS`` lists every command once.  ``main`` reads a well-formed line
 from that table alone (:func:`_read`) and hands any other line to
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from collections import OrderedDict
 from typing import Callable, NamedTuple
@@ -125,18 +124,9 @@ def _resolve_items(args) -> list:
 
 
 def _resolve_budget(flag: int | None) -> int | None:
-    source, budget = "--budget", flag
-    if budget is None:
-        env = os.environ.get("CONTRED_BUDGET")
-        if not env:
-            return None
-        try:
-            source, budget = "CONTRED_BUDGET", int(env)
-        except ValueError:
-            raise CorpusError(f"CONTRED_BUDGET={env!r} is not an integer")
-    if budget < 0:
-        raise CorpusError(f"{source} is a number of search nodes, not {budget}")
-    return budget
+    if flag is not None and flag < 0:
+        raise CorpusError(f"--budget is a number of search nodes, not {flag}")
+    return flag
 
 
 def _print_witness(found) -> None:
@@ -242,6 +232,9 @@ def _cmd_search(args, items) -> int:
     except ValueError:
         raise CorpusError(f"--lev takes a natural number or unbounded, not {args.lev!r}")
     found = search_lev_bas_witness(target, args.bas, max_points=args.max_points)
+    if found is None:
+        print("no")
+        return 1
     print(serialize(corpus_from_items([found])), end="")
     return 0
 

@@ -7,10 +7,10 @@ admissibility through the join's universal property (the join is never
 built), and hunts for maps with prescribed invariants or for antichains,
 each in a fixed catalog.  Everything returned by a search is re-verified
 by the deciders or the invariants machinery first.  A fruitless invariant
-search raises ``SearchExhaustedError`` because its catalog is complete:
-no map within the bound has the target.  A fruitless antichain search
-raises it without saying that none exists.  The random generators are
-seeded and deterministic.
+search returns None, a definite no, because its catalog is complete: no
+map within the bound has the target.  A fruitless antichain search raises
+``SearchExhaustedError`` without saying that none exists.  The random
+generators are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ def random_problem(
 
 def search_lev_bas_witness(
     target_lev: int, target_bas: int, max_points: int = 8
-) -> PartialMap:
+) -> PartialMap | None:
     """A total map with the requested first-variant level and basesize on
     at most ``max_points`` points, from a catalog that is complete.
 
@@ -397,7 +397,7 @@ def search_lev_bas_witness(
     b)`` (k, b) on k points for 2 <= b <= k or k = b = 1, and
     ``injective_indiscrete_map(b)`` (unbounded, b) on b points.  So when
     the candidate's invariant report misses the target, no map within
-    ``max_points`` has it, and ``SearchExhaustedError`` says so."""
+    ``max_points`` has it, and the answer is None."""
     lev_t = LevelValue(target_lev)
     if not 0 <= target_bas <= lev_t:
         raise ValueError("basesize target must lie between 0 and the level target")
@@ -412,10 +412,7 @@ def search_lev_bas_witness(
         report = invariant_report(m)
         if report.lev1 == lev_t and report.bas == target_bas:
             return m
-    raise SearchExhaustedError(
-        f"no map with level {lev_t} and basesize {target_bas} "
-        f"exists within {max_points} points"
-    )
+    return None
 
 
 def _antichain_catalog(

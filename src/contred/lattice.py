@@ -14,6 +14,9 @@ the sup of one selection of members, one from each problem.  The
 witnesses that make these genuine bounds are constructed directly from
 the shape of the construction (injections, projections, reassembled
 member witnesses) and replayed before being returned.
+
+A family is a plain sequence, whose members are tagged "0", "1", ..., or
+``tagged(items, tags)``; the tags name the summands of a coproduct.
 """
 
 from __future__ import annotations
@@ -78,14 +81,8 @@ def tagged(items: Sequence, tags: Sequence[str] | None = None) -> TaggedFamily:
     return TaggedFamily(tuple(zip(tags, items)))
 
 
-def _family(family, tags=None) -> TaggedFamily:
-    if isinstance(family, TaggedFamily):
-        if tags is not None and tuple(tags) != family.tags:
-            raise ValueError(
-                f"tags {list(tags)} disagree with the family's {list(family.tags)}"
-            )
-        return family
-    return tagged(tuple(family), tags)
+def _family(family) -> TaggedFamily:
+    return family if isinstance(family, TaggedFamily) else tagged(tuple(family))
 
 
 def _lift(join, prefix: str, fam: TaggedFamily, cod: Space, name, cap: int) -> Problem:
@@ -121,7 +118,6 @@ def _glued(fam: TaggedFamily, bound: PartialMap, member_witnesses, label: str):
 
 def sup2(
     family: Sequence[PartialMap] | TaggedFamily,
-    tags: Sequence[str] | None = None,
     name: str | None = None,
 ) -> PartialMap:
     """Tagged disjoint union: (tag, x) -> (tag, f_tag(x)).
@@ -129,7 +125,7 @@ def sup2(
     The empty family yields the nowhere-relevant map between empty
     spaces, the bottom of the one-query order.
     """
-    fam = _family(family, tags)
+    fam = _family(family)
     maps: tuple[PartialMap, ...] = fam.items
     dom = coproduct([m.dom for m in maps], fam.tags).space
     cod = coproduct([m.cod for m in maps], fam.tags)
@@ -146,7 +142,6 @@ def sup2(
 
 def sup2_problem(
     family: Sequence[Problem] | TaggedFamily,
-    tags: Sequence[str] | None = None,
     name: str | None = None,
     cap: int = SELECTION_CAP,
 ) -> Problem:
@@ -155,7 +150,7 @@ def sup2_problem(
     Any empty factor leaves no selections, so the result is the empty
     problem at the coproduct type.
     """
-    fam = _family(family, tags)
+    fam = _family(family)
     cod = coproduct([P.cod for P in fam.items], fam.tags).space
     return _lift(sup2, "sup2", fam, cod, name, cap)
 
@@ -163,10 +158,9 @@ def sup2_problem(
 def sup2_upper_witness(
     family: Sequence[PartialMap] | TaggedFamily,
     tag: str,
-    tags: Sequence[str] | None = None,
 ) -> Witness2:
     """Witness that the tagged member sits below the sup: inject, then untag."""
-    fam = _family(family, tags)
+    fam = _family(family)
     maps = fam.items
     pos = fam.tags.index(tag)
     member: PartialMap = maps[pos]
@@ -186,14 +180,13 @@ def sup2_least_witness(
     family: Sequence[PartialMap] | TaggedFamily,
     bound: PartialMap,
     member_witnesses: Sequence[Witness2],
-    tags: Sequence[str] | None = None,
 ) -> Witness2:
     """Reassemble member witnesses below a common bound into one for the sup.
 
     Given, for each tagged member, a one-query reduction to ``bound``,
     translate componentwise and tag the postprocessed answers.
     """
-    fam = _family(family, tags)
+    fam = _family(family)
     cop_cod = coproduct([m.cod for m in fam.items], fam.tags)
     # F's domain, the coproduct times bound.cod, also lists the members'
     # blocks one after another, so F's vector is the members' in turn
@@ -231,12 +224,11 @@ def _common_cod(maps: Sequence[PartialMap], cod: Space | None) -> Space:
 
 def sup0(
     family: Sequence[PartialMap] | TaggedFamily,
-    tags: Sequence[str] | None = None,
     cod: Space | None = None,
     name: str | None = None,
 ) -> PartialMap:
     """Untagged join into the shared codomain: (tag, x) -> f_tag(x)."""
-    fam = _family(family, tags)
+    fam = _family(family)
     maps: tuple[PartialMap, ...] = fam.items
     z = _common_cod(maps, cod)
     dom = coproduct([m.dom for m in maps], fam.tags).space
@@ -247,13 +239,12 @@ def sup0(
 
 def sup0_problem(
     family: Sequence[Problem] | TaggedFamily,
-    tags: Sequence[str] | None = None,
     cod: Space | None = None,
     name: str | None = None,
     cap: int = SELECTION_CAP,
 ) -> Problem:
     """All untagged joins of memberwise selections."""
-    fam = _family(family, tags)
+    fam = _family(family)
     z = _common_cod(fam.items, cod)
     return _lift(
         lambda picks, name: sup0(picks, cod=z, name=name), "sup0", fam, z, name, cap
@@ -263,16 +254,14 @@ def sup0_problem(
 def sup0_upper_witness(
     family: Sequence[PartialMap] | TaggedFamily,
     tag: str,
-    tags: Sequence[str] | None = None,
-    cod: Space | None = None,
 ) -> Witness0:
     """The injection witnesses each member below the join."""
-    fam = _family(family, tags)
+    fam = _family(family)
     pos = fam.tags.index(tag)
     cop = coproduct([m.dom for m in fam.items], fam.tags)
     w = Witness0(cop.injections[pos])
     return _replayed(
-        fam.items[pos], sup0(fam, cod=cod), w, "sup0 upper witness failed to replay"
+        fam.items[pos], sup0(fam), w, "sup0 upper witness failed to replay"
     )
 
 
@@ -280,10 +269,9 @@ def sup0_least_witness(
     family: Sequence[PartialMap] | TaggedFamily,
     bound: PartialMap,
     member_witnesses: Sequence[Witness0],
-    tags: Sequence[str] | None = None,
 ) -> Witness0:
     """Member translations glued componentwise over the coproduct."""
-    fam = _family(family, tags)
+    fam = _family(family)
     w = Witness0(_glued(fam, bound, member_witnesses, f"G[sup0,{bound.name}]"))
     # only the empty family takes its codomain from the bound: a member's
     # codomain other than the bound's is reported by the replay
@@ -303,7 +291,6 @@ def _indiscrete_copy(space: Space) -> Space:
 
 def fibered_with_projections(
     family: Sequence[PartialMap] | TaggedFamily,
-    tags: Sequence[str] | None = None,
     name: str | None = None,
 ) -> tuple[Space, tuple[PartialMap, ...], PartialMap]:
     """The subspace of the product of domains on which all member
@@ -312,7 +299,7 @@ def fibered_with_projections(
     Points are input tuples, one coordinate per member; a tuple
     survives when every member sends its coordinate to the same value.
     Members must be total and share a codomain."""
-    fam = _family(family, tags)
+    fam = _family(family)
     maps: tuple[PartialMap, ...] = fam.items
     if not maps:
         raise ValueError("fibered subspace needs at least one map")
@@ -348,7 +335,6 @@ def _tupling(sub: Space, projections, legs) -> list[int]:
 
 def inf0(
     family: Sequence[PartialMap] | TaggedFamily,
-    tags: Sequence[str] | None = None,
     cod: Space | None = None,
     name: str | None = None,
 ) -> PartialMap:
@@ -359,7 +345,7 @@ def inf0(
     The empty family: the identity viewed from an indiscrete copy of the
     codomain, the top of that order.
     """
-    fam = _family(family, tags)
+    fam = _family(family)
     if not len(fam):
         z = _common_cod((), cod)
         return _vec_map(name or f"top({z.name})", _indiscrete_copy(z), z, range(z.n))
@@ -371,10 +357,9 @@ def inf0(
 def inf0_lower_witness(
     family: Sequence[PartialMap] | TaggedFamily,
     tag: str,
-    tags: Sequence[str] | None = None,
 ) -> Witness0:
     """The projection witnesses the inf below each member."""
-    fam = _family(family, tags)
+    fam = _family(family)
     pos = fam.tags.index(tag)
     _, projections, common = fibered_with_projections(fam)
     w = Witness0(projections[pos])
@@ -385,13 +370,12 @@ def inf0_greatest_witness(
     family: Sequence[PartialMap] | TaggedFamily,
     lower: PartialMap,
     member_witnesses: Sequence[Witness0],
-    tags: Sequence[str] | None = None,
 ) -> Witness0:
     """Tuple the member translations; agreement lands them in the subspace.
 
     Below the empty family's meet, the identity out of an indiscrete copy
     of the codomain, ``lower`` factors through its own values."""
-    fam = _family(family, tags)
+    fam = _family(family)
     if len(fam):
         sub, projections, common = fibered_with_projections(fam)
         vec = _tupling(sub, projections, [w.translation for w in member_witnesses])
@@ -443,7 +427,6 @@ def distribute2(
     f: PartialMap,
     family: Sequence[PartialMap] | TaggedFamily,
     witness: Witness2,
-    tags: Sequence[str] | None = None,
     budget: int | Budget | None = None,
 ) -> TaggedFamily:
     """Split f along the components its translation queries.
@@ -454,7 +437,7 @@ def distribute2(
     sup2 of the pieces.  All three facts are re-established by the
     deciders before returning.
     """
-    fam = _family(family, tags)
+    fam = _family(family)
     _replayed(f, sup2(fam), witness, "witness does not reduce f to the sup")
     masks = _preimages(f.dom, f.def_mask, witness.gvec, fam)
     parts = tagged(
@@ -469,7 +452,6 @@ def distribute2_relation(
     rel: Relation,
     family: Sequence[Relation] | TaggedFamily,
     witness: Witness2,
-    tags: Sequence[str] | None = None,
     budget: int | Budget | None = None,
     cap: int = SELECTION_CAP,
 ) -> TaggedFamily:
@@ -477,10 +459,10 @@ def distribute2_relation(
 
     Each choice problem is built once and named after its relation, so a
     failed check names the relations."""
-    fam = _family(family, tags)
+    fam = _family(family)
     P = choice_functions(rel, cap)
     members = [choice_functions(s, cap, s.name) for s in fam.items]
-    Q = sup2_problem(members, fam.tags, cap=cap)
+    Q = sup2_problem(tagged(members, fam.tags), cap=cap)
     _replayed(P, Q, witness, "witness does not reduce the choice problems")
     rows = rel.rows
     live = sum(1 << i for i, r in enumerate(rows) if r)
@@ -491,7 +473,7 @@ def distribute2_relation(
         fam.tags,
     )
     pieces = [choice_functions(r, cap, r.name) for r in parts.items]
-    split = sup2_problem(pieces, fam.tags, cap=cap)
+    split = sup2_problem(tagged(pieces, fam.tags), cap=cap)
     _rejoined(P, pieces, members, split, "relation", budget)
     return parts
 

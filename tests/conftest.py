@@ -221,7 +221,6 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(contred.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    env.pop("CONTRED_BUDGET", None)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )

@@ -68,6 +68,7 @@ from contred.lattice import (
     distribute2_relation,
     inf0,
     sup2_upper_witness,
+    tagged,
     verify_glb,
     verify_lub,
 )
@@ -418,7 +419,7 @@ def test_criterion_09_splitting_along_translations(acceptance_report):
         r2 = relation(f"r2_{seed}", D2, D2, [("1", y) for y in targets[1]])
         rel = relation(f"rel{seed}", D2, D2, list(r1.pairs) + list(r2.pairs))
         joined = sup2_problem(
-            [choice_functions(r1), choice_functions(r2)], tags=("L", "R")
+            tagged([choice_functions(r1), choice_functions(r2)], ("L", "R"))
         )
         g = make_map(f"G{seed}", D2, joined.dom, {"0": "L.0", "1": "R.1"})
         prod = product((D2, joined.cod))
@@ -428,7 +429,7 @@ def test_criterion_09_splitting_along_translations(acceptance_report):
             if (x == "0" and tag == "L") or (x == "1" and tag == "R"):
                 f_rows[p] = y
         w = Witness2(g, make_map(f"F{seed}", prod.space, D2, f_rows))
-        parts = distribute2_relation(rel, [r1, r2], w, tags=("L", "R"))
+        parts = distribute2_relation(rel, tagged([r1, r2], ("L", "R")), w)
         ok = ok and {tag: set(piece.pairs) for tag, piece in parts} == {
             "L": set(r1.pairs),
             "R": set(r2.pairs),

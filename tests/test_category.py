@@ -300,7 +300,7 @@ def test_coproduct_mediator_replays_and_is_unique():
 
 
 def test_coproduct_mediator_tags_show_in_points():
-    res = coproduct_with_mediator([flip, ident], tags=["L", "R"])
+    res = coproduct_with_mediator(tagged([flip, ident], ["L", "R"]))
     assert all(p.startswith(("L.", "R.")) for p in res.space.points)
 
 
@@ -342,7 +342,7 @@ def test_pullback_object_and_projections():
 
 def test_pullback_space_agrees_with_meet_construction():
     fam = tagged([flip, ident], ["a", "b"])
-    res = pullback_with_mediator([flip, ident], tags=["a", "b"])
+    res = pullback_with_mediator(fam)
     meet = inf0(fam)
     assert res.space == meet.dom
     assert map_equal(res.common, meet)

@@ -70,11 +70,6 @@ end
 """
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_budget(monkeypatch):
-    monkeypatch.delenv("CONTRED_BUDGET", raising=False)
-
-
 @pytest.fixture()
 def clt(tmp_path):
     path = tmp_path / "demo.clt"
@@ -321,13 +316,15 @@ def test_search_takes_no_seed(capsys):
     assert out.out == "" and "unrecognized arguments: --seed 1" in out.err
 
 
+def test_search_lev_bas_nonexistence_is_a_definite_no(capsys):
+    # the catalog is complete and spends no budget, so a miss is a
+    # definite no, printed and exited as check does
+    assert main(["search", "--lev", "5", "--bas", "5", "--max-points", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "no\n" and out.err == ""
+
+
 def test_search_exhaustion_is_exit_three(capsys):
-    args = [
-        "search", "--lev", "5", "--bas", "5",
-        "--max-points", "2",
-    ]
-    assert main(args) == 3
-    assert "budget exhausted" in capsys.readouterr().err
     # no point to build on: nothing is found, and nothing crashes
     args = ["search", "--antichain", "2", "--max-points", "0"]
     assert main(args) == 3
@@ -428,31 +425,17 @@ def test_budget_flag_stops_the_decider(clt, capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
-def test_budget_env_var(clt, capsys, monkeypatch):
+def test_the_environment_sets_no_budget(clt, capsys, monkeypatch):
+    # only --budget bounds a search: a budget of 1 node would stop this one
     monkeypatch.setenv("CONTRED_BUDGET", "1")
-    assert main(["check", "le2", "flip", "step", clt]) == 3
-    capsys.readouterr()
+    assert main(["check", "le2", "flip", "step", clt]) == 0
+    out = capsys.readouterr()
+    assert out.out == "yes\n" and out.err == ""
 
 
-def test_budget_flag_beats_env_var(clt, capsys, monkeypatch):
-    monkeypatch.setenv("CONTRED_BUDGET", "1")
-    args = ["check", "le2", "flip", "step", clt, "--budget", "1000000"]
-    assert main(args) == 0
-    assert capsys.readouterr().out == "yes\n"
-
-
-def test_budget_env_var_must_be_numeric(clt, capsys, monkeypatch):
-    monkeypatch.setenv("CONTRED_BUDGET", "lots")
-    assert main(["check", "le2", "flip", "step", clt]) == 2
-    assert "not an integer" in capsys.readouterr().err
-
-
-def test_negative_budgets_are_usage_errors(clt, capsys, monkeypatch):
+def test_negative_budgets_are_usage_errors(clt, capsys):
     assert main(["check", "le2", "flip", "flip", clt, "--budget", "-1"]) == 2
     assert "--budget" in capsys.readouterr().err
-    monkeypatch.setenv("CONTRED_BUDGET", "-1")
-    assert main(["poset", "le2", "flip", "ident", clt]) == 2
-    assert "CONTRED_BUDGET" in capsys.readouterr().err
     assert main(["check", "le2", "flip", "flip", clt, "--budget", "0"]) == 3
     assert "budget exhausted" in capsys.readouterr().err
 

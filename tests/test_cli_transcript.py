@@ -3,7 +3,8 @@
 ``tests/golden/cli_transcript.txt`` records, for every command in
 :func:`commands`, the command line, its stdout, its stderr and its exit
 code.  The test re-runs the commands in-process and compares the whole
-text byte for byte.  Regenerate the file only when an output change is
+text byte for byte, in this process and in fresh interpreters under two
+hash seeds.  Regenerate the file only when an output change is
 intended::
 
     PYTHONPATH=src python tests/test_cli_transcript.py
@@ -12,11 +13,14 @@ intended::
 from __future__ import annotations
 
 import io
-import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from contred.cli import main
+
+from conftest import run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = GOLDEN / "fixtures.clt"
@@ -52,21 +56,16 @@ def commands() -> list[list[str]]:
 
 def transcript() -> str:
     """Run every command in-process and lay out what it printed."""
-    saved = os.environ.pop("CONTRED_BUDGET", None)
     parts = []
-    try:
-        for cmd in commands():
-            argv = [str(FIXTURES) if a == "FIXTURES" else a for a in cmd]
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv)
-            parts.append(f"$ contred {' '.join(cmd)}\n")
-            parts.append(out.getvalue())
-            parts.extend(f"stderr: {line}\n" for line in err.getvalue().splitlines())
-            parts.append(f"exit {code}\n")
-    finally:
-        if saved is not None:
-            os.environ["CONTRED_BUDGET"] = saved
+    for cmd in commands():
+        argv = [str(FIXTURES) if a == "FIXTURES" else a for a in cmd]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        parts.append(f"$ contred {' '.join(cmd)}\n")
+        parts.append(out.getvalue())
+        parts.extend(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+        parts.append(f"exit {code}\n")
     return "".join(parts)
 
 
@@ -79,6 +78,20 @@ def test_cli_transcript_is_byte_identical():
             assert g == w, f"line {k + 1} differs"
         assert len(got_lines) == len(want_lines), "transcript length differs"
     assert got == want
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_cli_transcript_does_not_depend_on_the_hash_seed(monkeypatch, seed):
+    # one process sees one hash seed, so an order that leaked from a set or
+    # a dict of strings would fail only now and then in the test above
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_cli_transcript import transcript; sys.stdout.write(transcript())"
+    )
+    done = run_python("-c", script, str(Path(__file__).parent))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == TRANSCRIPT.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

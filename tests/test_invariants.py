@@ -41,6 +41,7 @@ from contred import (
     singleton_problem,
     sup2,
     sup2_problem,
+    tagged,
     total_map,
 )
 from contred.invariants import _refuted
@@ -301,7 +302,7 @@ def test_base_size_matches_brute_force_partition_search(f):
 @settings(max_examples=50, deadline=None)
 @given(total_maps_st(max_points=3), total_maps_st(max_points=3))
 def test_invariants_of_a_join_are_the_member_maxima(f, g):
-    joined = sup2([f, g], tags=("l", "r"))
+    joined = sup2(tagged([f, g], ("l", "r")))
     for variant in (1, 2):
         assert level(joined, variant) == max(level(f, variant), level(g, variant))
     assert basesize(joined) == max(basesize(f), basesize(g))
@@ -313,7 +314,7 @@ def test_invariants_of_a_join_are_the_member_maxima(f, g):
     problems_st(max_points=2, max_members=2),
 )
 def test_problem_level_of_a_join_is_the_member_maximum(p, q):
-    joined = sup2_problem([p, q], tags=("l", "r"))
+    joined = sup2_problem(tagged([p, q], ("l", "r")))
     assert level_problem(joined, 1) == max(level_problem(p, 1), level_problem(q, 1))
     assert basesize_problem(joined) == max(basesize_problem(p), basesize_problem(q))
 

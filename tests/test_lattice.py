@@ -85,14 +85,6 @@ def test_tagged_families_default_and_reject_duplicate_tags():
         tagged([flip], tags=("a", "b"))
 
 
-def test_tags_given_with_a_tagged_family_must_agree():
-    fam = tagged([flip, step], tags=("a", "b"))
-    assert sup2(fam, tags=["a", "b"]) == sup2(fam)
-    for build in (sup2, sup0, inf0):
-        with pytest.raises(ValueError, match="disagree"):
-            build(fam, tags=["x", "y"])
-
-
 def test_an_explicit_codomain_must_match_the_family():
     for build in (sup0, inf0):
         with pytest.raises(ContredError, match="explicit codomain disagrees"):
@@ -104,7 +96,7 @@ def test_an_explicit_codomain_must_match_the_family():
 
 
 def test_join_glues_components_with_tags():
-    j = sup2([flip, step], tags=("l", "r"))
+    j = sup2(tagged([flip, step], ("l", "r")))
     assert j("l.s0") == "l.s1" and j("r.s1") == "r.1"
     assert len(j.dom.points) == 4 and len(j.cod.points) == 4
 
@@ -157,7 +149,7 @@ def test_join_bound_laws_hold_for_generated_families(members, extra):
 
 
 def test_common_codomain_join_keeps_the_codomain():
-    j = sup0([c0, c1], tags=("a", "b"))
+    j = sup0(tagged([c0, c1], ("a", "b")))
     assert j.cod == D2 and j("a.s0") == "0" and j("b.s0") == "1"
     # strictly above each constant: they reduce to it, not conversely
     assert le0_map(c0, j) is not None and le0_map(c1, j) is not None
@@ -236,7 +228,7 @@ def test_problem_join_with_an_empty_factor_is_empty():
 def test_each_factor_reduces_to_the_problem_join():
     p = problem("p", S2, S2, [flip, identity_map(S2)])
     q = singleton_problem(step, name="q")
-    pj = sup2_problem([p, q], tags=("p", "q"))
+    pj = sup2_problem(tagged([p, q], ("p", "q")))
     for factor in (p, q):
         w = le2_problem(factor, pj)
         assert w is not None and verify_witness2(factor, pj, w)
@@ -254,7 +246,7 @@ def test_problem_join_capacity_guard():
 
 
 def test_meet_of_a_map_with_itself_is_its_diagonal():
-    m = inf0([flip, flip], tags=("a", "b"))
+    m = inf0(tagged([flip, flip], ("a", "b")))
     assert sorted(m.dom.points) == ["(s0,s0)", "(s1,s1)"]
     assert le0_map(m, flip) is not None and le0_map(flip, m) is not None
 
@@ -409,7 +401,7 @@ def test_splitting_a_join_recovers_the_components():
     j = sup2(fam)
     w = identity_witness_for(j)
     assert verify_witness2(j, j, w)
-    parts = distribute2(j, fam, w, tags=("l", "r"))
+    parts = distribute2(j, fam, w)
     assert parts.tags == ("l", "r")
     left, right = parts.items
     assert left.defined_on == {"l.s0", "l.s1"}
@@ -417,7 +409,7 @@ def test_splitting_a_join_recovers_the_components():
     # pieces reduce to their components and rejoin to the original
     assert le2_map(left, flip) is not None
     assert le2_map(right, step) is not None
-    assert le2_map(j, sup2(parts.items, tags=parts.tags)) is not None
+    assert le2_map(j, sup2(parts)) is not None
 
 
 def test_splitting_with_a_one_sided_translation_empties_the_other_piece():
@@ -436,7 +428,7 @@ def test_splitting_with_a_one_sided_translation_empties_the_other_piece():
             f_rows[p] = flip(x)
     w = Witness2(g, make_map("F", prod.space, S2, f_rows))
     assert verify_witness2(flip, j, w)
-    parts = distribute2(flip, fam, w, tags=("l", "r"))
+    parts = distribute2(flip, fam, w)
     assert parts.items[0].defined_on == {"s0", "s1"}
     assert parts.items[1].defined_on == frozenset()
 
@@ -460,7 +452,7 @@ def test_splitting_rejects_invalid_witnesses():
         make_map("F", product((S2, j.cod)).space, S2, {}),
     )
     with pytest.raises(InvalidWitnessError):
-        distribute2(flip, fam, bogus, tags=("l", "r"))
+        distribute2(flip, fam, bogus)
 
 
 def choice_split_case():
@@ -469,7 +461,9 @@ def choice_split_case():
     r1 = relation("r1", D2, D2, [("0", "0"), ("0", "1")])
     r2 = relation("r2", D2, D2, [("1", "1")])
     rel = relation("rel", D2, D2, [("0", "0"), ("0", "1"), ("1", "1")])
-    joined = sup2_problem([choice_functions(r1), choice_functions(r2)], tags=("L", "R"))
+    joined = sup2_problem(
+        tagged([choice_functions(r1), choice_functions(r2)], ("L", "R"))
+    )
     g = make_map("G", D2, joined.dom, {"0": "L.0", "1": "R.1"})
     prod = product((D2, joined.cod))
     f_rows = {}
@@ -493,7 +487,7 @@ def test_splitting_choice_relations(monkeypatch):
         return real(r, *args)
 
     monkeypatch.setattr(contred.lattice, "choice_functions", counted)
-    parts = distribute2_relation(rel, [r1, r2], w, tags=("L", "R"))
+    parts = distribute2_relation(rel, tagged([r1, r2], ("L", "R")), w)
     # each choice problem is built once: the relation's, each member's and
     # each piece's
     assert sorted(built) == ["r1", "r2", "rel", "rel_L", "rel_R"]
@@ -535,7 +529,7 @@ def test_splitting_re_decides_the_pieces_and_their_rejoin(
         split = distribute2
     else:
         rel, fam, w = choice_split_case()
-        args = (rel, fam, w, ("L", "R"))
+        args = (rel, tagged(fam, ("L", "R")), w)
         split = distribute2_relation
     monkeypatch.setattr(contred.lattice, "decide", refusing)
     with pytest.raises(ContredError) as exc:

@@ -54,6 +54,7 @@ from contred import (
     sierpinski,
     singleton_problem,
     sup2,
+    tagged,
     total_map,
     verify_witness0,
     verify_witness2,
@@ -510,8 +511,8 @@ def test_problem_reflexivity(p):
 @settings(max_examples=40, deadline=None)
 @given(total_maps_st(max_points=3), total_maps_st(max_points=3), seeds)
 def test_transitivity_along_constructed_chains(f, r1, s):
-    g = sup2([f, r1], tags=("a", "b"))
-    h = sup2([g, random_map(r1.dom, r1.cod, seed=s)], tags=("c", "d"))
+    g = sup2(tagged([f, r1], ("a", "b")))
+    h = sup2(tagged([g, random_map(r1.dom, r1.cod, seed=s)], ("c", "d")))
     w_fg, w_gh = le2_map(f, g), le2_map(g, h)
     assert w_fg is not None and w_gh is not None
     composed = compose_witness2(w_fg, w_gh, h.cod)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import contred
+from contred import category, lattice
 
 PACKAGE = Path(contred.__file__).resolve().parent
 
@@ -123,3 +125,18 @@ def test_only_the_boundary_builds_from_point_names():
                 if called in NAME_CONSTRUCTORS:
                     found.append(f"{path.name}:{node.lineno}:{called}")
     assert found == []
+
+
+def test_a_family_carries_its_own_tags():
+    # a join or meet takes its tags from the family, a plain sequence or
+    # tagged(items, tags), so no tags can be given twice; and the family
+    # that holds the member fixes the codomain of the member's injection
+    takes_tags = [
+        f"{module.__name__}.{name}"
+        for module in (lattice, category)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and not name.startswith("_")
+        and "tags" in inspect.signature(fn).parameters
+    ]
+    assert takes_tags == ["contred.lattice.tagged"]
+    assert "cod" not in inspect.signature(lattice.sup0_upper_witness).parameters
