@@ -40,7 +40,7 @@ from .spaces import (
     map_equal,
 )
 
-HOM_CAP = 50_000
+HOM_CAP = 50_000  # ceiling on enumerated total maps: morphisms, candidate mediators
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ class CategoryModel:
         return is_continuous(self.map_of(morphism))
 
 
-def space_category(
-    spaces: Sequence[Space], name: str | None = None, cap: int = HOM_CAP
-) -> CategoryModel:
+def space_category(spaces: Sequence[Space], name: str | None = None) -> CategoryModel:
     """The category with the given spaces as objects and every total map
     between them as a morphism."""
     spaces = tuple(dict.fromkeys(spaces))
@@ -186,8 +184,8 @@ def space_category(
     count = sum(
         cod.n**dom.n if dom.n else 1 for dom in spaces for cod in spaces if cod.n or not dom.n
     )
-    if count > cap:
-        raise CapacityError(f"{count} morphisms exceed the cap of {cap}")
+    if count > HOM_CAP:
+        raise CapacityError(f"{count} morphisms exceed the cap of {HOM_CAP}")
     space_by_name = {s.name: s for s in spaces}
     morphisms: list[Morphism] = []
     maps: dict[str, PartialMap] = {}
@@ -259,14 +257,14 @@ def le0_cat(
 # -- universal constructions ----------------------------------------------
 
 
-def _sole_mediator(mediator: PartialMap, commutes, cap: int) -> None:
+def _sole_mediator(mediator: PartialMap, commutes) -> None:
     """Replay the mediator's equations, then confirm by exhausting every
     total map with its domain and codomain that exactly one commutes."""
     if not commutes(mediator):
         raise ContredError("mediator equation failed to replay")
     dom, cod = mediator.dom, mediator.cod
     candidates = cod.n**dom.n
-    if candidates > cap:
+    if candidates > HOM_CAP:
         raise CapacityError(f"{candidates} candidate mediators exceed the cap")
     hits = sum(
         commutes(_vec_map("cand", dom, cod, vec))
@@ -287,14 +285,13 @@ class CoproductResultCat:
 def coproduct_with_mediator(
     cone: Sequence[PartialMap] | TaggedFamily,
     cod: Space | None = None,
-    cap: int = HOM_CAP,
 ) -> CoproductResultCat:
     """Coproduct of the cone's sources plus the unique copairing map.
 
     The mediator is the untagged join of the cone; the factoring
     equations mediator ∘ injection_i = cone_i replay exactly, and
     uniqueness is confirmed by exhausting every total map out of the
-    coproduct (capacity-guarded).
+    coproduct, at most ``HOM_CAP`` of them.
     """
     fam = _family(cone)
     cone = fam.items
@@ -311,7 +308,6 @@ def coproduct_with_mediator(
         lambda c: all(
             map_equal(compose(c, inj), m) for inj, m in zip(cop.injections, cone)
         ),
-        cap,
     )
     return CoproductResultCat(cop.space, cop.injections, mediator, True)
 
@@ -329,7 +325,6 @@ class PullbackResultCat:
 def pullback_with_mediator(
     maps: Sequence[PartialMap] | TaggedFamily,
     cone: Sequence[PartialMap] | None = None,
-    cap: int = HOM_CAP,
 ) -> PullbackResultCat:
     """Pullback of a finite family over their shared codomain.
 
@@ -372,7 +367,6 @@ def pullback_with_mediator(
     _sole_mediator(
         mediator,
         lambda c: all(map_equal(compose(p, c), q) for p, q in zip(projections, cone)),
-        cap,
     )
     return PullbackResultCat(
         sub, projections, common, mediator, is_continuous(mediator), True

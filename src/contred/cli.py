@@ -5,8 +5,8 @@ corpus file and every other positional is an item declared in one of
 them.  ``main`` looks the items up before any command runs, so a name of
 the wrong kind (a space, a relation, a problem where only maps are taken)
 is a usage error.  Exit codes: 0 yes/success, 1 no (for ``check`` and
-``search --lev/--bas``), 2 usage or corpus errors, 3 exhausted
-search/capacity budgets.  Search budgets come from ``--budget`` alone.
+``search --lev/--bas``), 2 usage or corpus errors, 3 an exhausted search
+budget or a capacity ceiling; only ``--budget`` sets a budget.
 Every command reads its files afresh, but a text read before in the same
 process reuses the items parsed from it.
 

@@ -23,9 +23,10 @@ Grammar (one declaration block per item, ``#`` starts a comment)::
 ``below a b`` declares a below b; the reflexive-transitive closure is
 taken automatically.  A map without the ``partial`` marker must supply a
 row for every point, and a block ends at a line that is exactly ``end``.
-Map blocks are read straight into value vectors and relation blocks into
-target bitmasks, one index lookup per name, and written back from them,
-rows in point-name order; no name table is built either way.
+Map and relation blocks are read by one row reader into target bitmasks,
+one index lookup per name, and a map's rows, one target each, then become
+its value vector; both are written back from these, rows in point-name
+order, and no name table is built either way.
 Serialization is canonical — rows, pairs and blocks are sorted, and a
 space's points keep their declaration order, which a ``Space`` compares
 — so ``serialize`` is a fixpoint under ``parse``/``serialize`` round
@@ -153,36 +154,6 @@ def parse(text: str) -> Corpus:
             missing = parts[3] if dom is None else parts[5]
             raise CorpusError(f"undeclared space {missing!r}", opened)
 
-        if head == "map":
-            # rows go straight into the value vector, one lookup per name
-            dindex, cindex = dom.index, cod.index
-            vec = [-1] * dom.n
-            for lineno, parts in lines:
-                if parts == _END:
-                    break
-                if len(parts) < 3 or parts[1] != "->":
-                    raise CorpusError("expected 'POINT -> POINT...'", lineno)
-                if len(parts) != 3:
-                    raise CorpusError("map rows take one value", lineno)
-                x, _, y = parts
-                i = dindex.get(x)
-                if i is None:
-                    raise CorpusError(f"{x!r} is not a point of {dom.name!r}", lineno)
-                j = cindex.get(y)
-                if j is None:
-                    raise CorpusError(f"{y!r} is not a point of {cod.name!r}", lineno)
-                if vec[i] >= 0:
-                    raise CorpusError(f"duplicate row for {x!r}", lineno)
-                vec[i] = j
-            else:
-                raise CorpusError(f"map {name!r} never ends", opened)
-            if not partial and -1 in vec:
-                raise CorpusError(
-                    f"map {name!r} is missing rows; mark it partial", opened
-                )
-            pool[name] = _vec_map(name, dom, cod, vec)
-            continue
-
         if head == "problem":
             members: dict[str, PartialMap] = {}
             for lineno, parts in block(head, name, opened):
@@ -201,24 +172,34 @@ def parse(text: str) -> Corpus:
             pool[name] = problem(name, dom, cod, members.values())
             continue
 
-        # rows go straight into target bitmasks; a given row is never 0
+        # a map's rows and a relation's go straight into target bitmasks, one
+        # lookup per name; a given row is never 0, and a map row holds one bit
         rows = [0] * dom.n
+        dindex, cindex, one = dom.index, cod.index, head == "map"
         for lineno, parts in block(head, name, opened):
             if len(parts) < 3 or parts[1] != "->":
                 raise CorpusError("expected 'POINT -> POINT...'", lineno)
-            i = dom.index.get(parts[0])
+            if one and len(parts) != 3:
+                raise CorpusError("map rows take one value", lineno)
+            i = dindex.get(parts[0])
             if i is None:
                 raise CorpusError(f"{parts[0]!r} is not a point of {dom.name!r}", lineno)
             row = 0
             for p in parts[2:]:
-                j = cod.index.get(p)
+                j = cindex.get(p)
                 if j is None:
                     raise CorpusError(f"{p!r} is not a point of {cod.name!r}", lineno)
                 row |= 1 << j
             if rows[i]:
                 raise CorpusError(f"duplicate row for {parts[0]!r}", lineno)
             rows[i] = row
-        pool[name] = Relation(name, dom, cod, tuple(rows))
+        if head == "relation":
+            pool[name] = Relation(name, dom, cod, tuple(rows))
+            continue
+        vec = [r.bit_length() - 1 for r in rows]
+        if not partial and -1 in vec:
+            raise CorpusError(f"map {name!r} is missing rows; mark it partial", opened)
+        pool[name] = _vec_map(name, dom, cod, vec)
     return corpus
 
 

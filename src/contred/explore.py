@@ -202,9 +202,9 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(poset: DegreePoset, graph_name: str = "degrees") -> str:
+def to_dot(poset: DegreePoset) -> str:
     """Deterministic DOT text: one node per class, covers drawn upward."""
-    lines = [f"digraph {_dot_quote(graph_name)} {{", "  rankdir=BT;"]
+    lines = ['digraph "degrees" {', "  rankdir=BT;"]
     for c in range(len(poset.classes)):
         lines.append(f"  {_dot_quote(poset.class_label(c))};")
     for a, b in sorted(

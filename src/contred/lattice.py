@@ -44,7 +44,7 @@ from .spaces import (
     product_space,
 )
 
-SELECTION_CAP = 10_000
+SELECTION_CAP = 10_000  # ceiling on the member selections of a problem join
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,17 @@ def _family(family) -> TaggedFamily:
     return family if isinstance(family, TaggedFamily) else tagged(tuple(family))
 
 
-def _lift(join, prefix: str, fam: TaggedFamily, cod: Space, name, cap: int) -> Problem:
+def _lift(join, prefix: str, fam: TaggedFamily, cod: Space, name) -> Problem:
     """The problem whose members are ``join`` of each memberwise selection,
     one member from each problem of ``fam``; ``prefix`` names the join."""
     probs: tuple[Problem, ...] = fam.items
     count = 1
     for P in probs:
         count *= len(P.members)
-        if count > cap:
-            raise CapacityError(f"more than {cap} member selections in {prefix}_problem")
+        if count > SELECTION_CAP:
+            raise CapacityError(
+                f"more than {SELECTION_CAP} member selections in {prefix}_problem"
+            )
     dom = coproduct([P.dom for P in probs], fam.tags).space
     label = name or prefix + "(" + ",".join(P.name for P in probs) + ")"
     members = [
@@ -143,7 +145,6 @@ def sup2(
 def sup2_problem(
     family: Sequence[Problem] | TaggedFamily,
     name: str | None = None,
-    cap: int = SELECTION_CAP,
 ) -> Problem:
     """All sups of memberwise selections, one member per problem.
 
@@ -152,7 +153,7 @@ def sup2_problem(
     """
     fam = _family(family)
     cod = coproduct([P.cod for P in fam.items], fam.tags).space
-    return _lift(sup2, "sup2", fam, cod, name, cap)
+    return _lift(sup2, "sup2", fam, cod, name)
 
 
 def sup2_upper_witness(
@@ -186,6 +187,8 @@ def sup2_least_witness(
     Given, for each tagged member, a one-query reduction to ``bound``,
     translate componentwise and tag the postprocessed answers.
     """
+    if not all(isinstance(w, Witness2) for w in member_witnesses):
+        raise InvalidWitnessError("member witnesses do not fit the family")
     fam = _family(family)
     cop_cod = coproduct([m.cod for m in fam.items], fam.tags)
     # F's domain, the coproduct times bound.cod, also lists the members'
@@ -241,14 +244,11 @@ def sup0_problem(
     family: Sequence[Problem] | TaggedFamily,
     cod: Space | None = None,
     name: str | None = None,
-    cap: int = SELECTION_CAP,
 ) -> Problem:
     """All untagged joins of memberwise selections."""
     fam = _family(family)
     z = _common_cod(fam.items, cod)
-    return _lift(
-        lambda picks, name: sup0(picks, cod=z, name=name), "sup0", fam, z, name, cap
-    )
+    return _lift(lambda picks, name: sup0(picks, cod=z, name=name), "sup0", fam, z, name)
 
 
 def sup0_upper_witness(
@@ -453,16 +453,15 @@ def distribute2_relation(
     family: Sequence[Relation] | TaggedFamily,
     witness: Witness2,
     budget: int | Budget | None = None,
-    cap: int = SELECTION_CAP,
 ) -> TaggedFamily:
     """The relation form of distribute2, through choice-function problems.
 
     Each choice problem is built once and named after its relation, so a
     failed check names the relations."""
     fam = _family(family)
-    P = choice_functions(rel, cap)
-    members = [choice_functions(s, cap, s.name) for s in fam.items]
-    Q = sup2_problem(tagged(members, fam.tags), cap=cap)
+    P = choice_functions(rel)
+    members = [choice_functions(s, s.name) for s in fam.items]
+    Q = sup2_problem(tagged(members, fam.tags))
     _replayed(P, Q, witness, "witness does not reduce the choice problems")
     rows = rel.rows
     live = sum(1 << i for i, r in enumerate(rows) if r)
@@ -472,8 +471,8 @@ def distribute2_relation(
         [Relation(f"{rel.name}_{t}", rel.dom, rel.cod, c) for t, c in zip(fam.tags, cuts)],
         fam.tags,
     )
-    pieces = [choice_functions(r, cap, r.name) for r in parts.items]
-    split = sup2_problem(tagged(pieces, fam.tags), cap=cap)
+    pieces = [choice_functions(r, r.name) for r in parts.items]
+    split = sup2_problem(tagged(pieces, fam.tags))
     _rejoined(P, pieces, members, split, "relation", budget)
     return parts
 

@@ -183,7 +183,7 @@ def _yes(lhs, rhs, gvec, fvec=None) -> Witness0 | Witness2:
 
 # -- continuous maps by search -------------------------------------------
 
-ENUMERATION_CAP = 200_000
+ENUMERATION_CAP = 200_000  # ceiling on the candidate partial maps enumerated
 
 
 def _continuous_maps(
@@ -208,15 +208,13 @@ def enumerate_continuous_total(dom: Space, cod: Space) -> tuple[PartialMap, ...]
     return _kept(dom, ("c", cod), lambda: _continuous_maps("c", dom, cod, [*range(cod.n)]))
 
 
-def enumerate_continuous_partial(
-    dom: Space, cod: Space, cap: int = ENUMERATION_CAP
-) -> tuple[PartialMap, ...]:
+def enumerate_continuous_partial(dom: Space, cod: Space) -> tuple[PartialMap, ...]:
     """All partial maps dom -> cod continuous on their domain of
-    definition, lexicographic, undefined slots ordered first."""
-    if (cod.n + 1) ** dom.n > cap:
-        raise CapacityError(
-            f"{(cod.n + 1) ** dom.n} partial maps exceed the cap of {cap}"
-        )
+    definition, lexicographic, undefined slots ordered first.  Their
+    candidates are counted against ``ENUMERATION_CAP`` before any is tried."""
+    count = (cod.n + 1) ** dom.n
+    if count > ENUMERATION_CAP:
+        raise CapacityError(f"{count} partial maps exceed the cap of {ENUMERATION_CAP}")
     options = [-1, *range(cod.n)]
     return _kept(dom, ("p", cod), lambda: _continuous_maps("p", dom, cod, options))
 
@@ -726,9 +724,17 @@ def compose_witness2(w_ab: Witness2, w_bc: Witness2, far_cod: Space) -> Witness2
     first lets the middle stage interpret the answer, then the outer one:
     F(x, z) = F_ab(x, F_bc(G_ab x, z)).  ``far_cod`` is the codomain of
     the right-hand end of the chain (the answer space of the far map).
+    Witnesses that do not chain so raise ``SpaceMismatchError`` before any
+    of their values is read.
     """
     g_ab, f_ab = w_ab.translation, w_ab.postprocess
     g_bc, f_bc = w_bc.translation, w_bc.postprocess
+    if g_ab.cod != g_bc.dom:
+        raise SpaceMismatchError("the first translation misses the second's domain")
+    if f_bc.dom != product_space(g_bc.dom, far_cod):
+        raise SpaceMismatchError("the second postprocessor does not read far_cod")
+    if f_ab.dom != product_space(g_ab.dom, f_bc.cod):
+        raise SpaceMismatchError("the first postprocessor misses the middle answers")
     gv, bc, ab = g_ab.vec, f_bc.vec, f_ab.vec
     m, k = f_bc.cod.n, far_cod.n
     vec = []

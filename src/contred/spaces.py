@@ -30,7 +30,7 @@ from .errors import CapacityError, SpaceMismatchError
 
 _OPENS_LIMIT = 20  # 2**n subsets get enumerated; refuse anything larger
 
-CHOICE_CAP = 10_000  # default ceiling on enumerated choice functions
+CHOICE_CAP = 10_000  # ceiling on enumerated choice functions
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -835,20 +835,20 @@ def relation(
     return Relation(name, dom, cod, tuple(rows))
 
 
-def choice_functions(
-    rel: Relation, cap: int = CHOICE_CAP, name: str | None = None
-) -> Problem:
+def choice_functions(rel: Relation, name: str | None = None) -> Problem:
     """The problem of all pointwise selections from a relation.
 
     Selections are defined exactly on the points with at least one target;
     a relation with no pairs yields the problem whose one member is the
     nowhere-defined map.  The member count multiplies quickly, so it is
-    checked against ``cap`` before anything is materialized.
+    checked against ``CHOICE_CAP`` before anything is materialized.
     """
     # a point without targets has the one choice -1, undefined
     choices = [tuple(_bits(r)) or (-1,) for r in rel.rows]
-    if math.prod(map(len, choices)) > cap:
-        raise CapacityError(f"relation {rel.name!r} has more than {cap} choice functions")
+    if math.prod(map(len, choices)) > CHOICE_CAP:
+        raise CapacityError(
+            f"relation {rel.name!r} has more than {CHOICE_CAP} choice functions"
+        )
     base = name or f"cf({rel.name})"
     members = [
         _vec_map(f"{base}.c{k}", rel.dom, rel.cod, vec)

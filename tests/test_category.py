@@ -208,8 +208,9 @@ def test_space_category_deduplicates_and_validates():
     assert model.category.objects == (S2.name,)
     with pytest.raises(ValueError, match="unique"):
         space_category([S2, discrete(2, name=S2.name)])
-    with pytest.raises(CapacityError):
-        space_category([S2, D2], cap=3)
+    # 7 ** 7 = 823,543 self-maps, counted against HOM_CAP before any is built
+    with pytest.raises(CapacityError, match="^823543 morphisms exceed the cap of 50000$"):
+        space_category([discrete(7)])
 
 
 def test_continuous_subcategory_predicate():
@@ -324,8 +325,12 @@ def test_coproduct_mediator_needs_one_codomain():
 
 
 def test_coproduct_mediator_capacity_guard():
-    with pytest.raises(CapacityError):
-        coproduct_with_mediator([flip, ident], cap=3)
+    # 3 ** 10 = 59,049 maps out of the 10-point coproduct, counted against
+    # HOM_CAP before any candidate is tried
+    d5, d3 = discrete(5), discrete(3)
+    cone = [constant_map(d5, d3, "0", name="k0"), constant_map(d5, d3, "1", name="k1")]
+    with pytest.raises(CapacityError, match="^59049 candidate mediators exceed the cap$"):
+        coproduct_with_mediator(cone)
 
 
 # -- pullbacks with mediators ----------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from contred import (
     chain,
     cli,
+    constant_map,
     corpus_from_items,
     discrete,
     kernel,
@@ -264,6 +265,18 @@ def test_admissible_verdicts(clt, capsys):
     assert capsys.readouterr().out == "admissible: yes\n"
     assert main(["admissible", "step", clt]) == 0
     assert capsys.readouterr().out == "admissible: no\n"
+
+
+def test_a_capacity_ceiling_is_exit_three(tmp_path, capsys):
+    # 3 ** 12 partial maps chain(12) -> discrete(2) are counted against
+    # ENUMERATION_CAP before any is tried; the refusal is no verdict
+    konst = constant_map(chain(12), discrete(2), "0", name="konst")
+    path = tmp_path / "long.clt"
+    path.write_text(serialize(corpus_from_items([konst])), encoding="utf-8")
+    assert main(["admissible", "konst", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "budget exhausted: 531441 partial maps exceed the cap of 200000\n"
 
 
 # -- search ----------------------------------------------------------------

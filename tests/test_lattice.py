@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,9 +237,16 @@ def test_each_factor_reduces_to_the_problem_join():
 
 
 def test_problem_join_capacity_guard():
-    many = problem("many", D2, D2, [constant_map(D2, D2, v, name=f"k{v}") for v in D2.points])
-    with pytest.raises(CapacityError):
-        sup2_problem([many, many, many], cap=2)
+    # 27 ** 3 = 19,683 selections, counted against SELECTION_CAP before any
+    # join is built
+    d3 = discrete(3)
+    many = problem("many", d3, d3, [
+        total_map(f"m{k}", d3, d3, zip(d3.points, values))
+        for k, values in enumerate(itertools.product(d3.points, repeat=3))
+    ])
+    assert len(many.members) == 27
+    with pytest.raises(CapacityError, match="^more than 10000 member selections in sup2_problem$"):
+        sup2_problem([many, many, many])
     pj0 = sup0_problem([singleton_problem(c0), singleton_problem(c1)])
     assert len(pj0.members) == 1 and pj0.members[0].cod == D2
 
@@ -559,8 +568,21 @@ def test_splitting_re_decides_the_pieces_and_their_rejoin(
             InvalidWitnessError,
             "member witnesses do not fit the family",
         ),
+        (
+            lambda: sup2_least_witness(
+                [c0, c1], step, [le0_map(c0, step), le0_map(c1, step)]
+            ),
+            InvalidWitnessError,
+            "member witnesses do not fit the family",
+        ),
     ],
-    ids=["fibered-empty", "fibered-partial", "sup0-one-witness", "sup2-one-witness"],
+    ids=[
+        "fibered-empty",
+        "fibered-partial",
+        "sup0-one-witness",
+        "sup2-one-witness",
+        "sup2-composition-witnesses",
+    ],
 )
 def test_lattice_refusals(build, error, match):
     with pytest.raises(error, match=match):

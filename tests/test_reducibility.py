@@ -82,6 +82,12 @@ blur2 = total_map("blur2", I2, D2, {"0": "0", "1": "1"})
 # -- input refusals ---------------------------------------------------------
 
 half = make_map("half", S2, S2, {"s1": "s1"})
+one = total_map("one", discrete(1), D2, {"0": "0"})
+wide = total_map("wide", S2, discrete(3), {"s0": "0", "s1": "1"})
+
+
+def _compose_after_step(w_bc, far_cod):
+    return compose_witness2(le2_map(step, step), w_bc, far_cod)
 
 
 @pytest.mark.parametrize(
@@ -101,8 +107,26 @@ half = make_map("half", S2, S2, {"s1": "s1"})
             lambda: decide(singleton_problem(flip), singleton_problem(flip), "lect"),
             ValueError,
         ),
-        # (2 + 1) ** 3 = 27 partial maps C3 -> D2
-        (lambda: enumerate_continuous_partial(C3, D2, cap=26), CapacityError),
+        # (2 + 1) ** 12 = 531,441 partial maps chain(12) -> D2, counted
+        # against the 200,000 of ENUMERATION_CAP before any is tried
+        (lambda: enumerate_continuous_partial(chain(12), D2), CapacityError),
+        # witnesses that do not chain are refused before any value is read:
+        # step <=2 step translates onto both points of S2, where one's
+        # domain has one point; it reads answers in D2, not in D5 or C2;
+        # and wide <=2 wide answers in D3, which it cannot read
+        (lambda: _compose_after_step(le2_map(one, one), D2), SpaceMismatchError),
+        (
+            lambda: _compose_after_step(le2_map(step, step), discrete(5)),
+            SpaceMismatchError,
+        ),
+        (
+            lambda: _compose_after_step(le2_map(step, step), chain(2)),
+            SpaceMismatchError,
+        ),
+        (
+            lambda: _compose_after_step(le2_map(wide, wide), discrete(3)),
+            SpaceMismatchError,
+        ),
     ],
     ids=[
         "le0_fn-left",
@@ -114,6 +138,10 @@ half = make_map("half", S2, S2, {"s1": "s1"})
         "le0_problem-cod",
         "lect-problems",
         "enumerate-cap",
+        "compose-translation",
+        "compose-far-cod-larger",
+        "compose-far-cod-same-size",
+        "compose-middle-answers",
     ],
 )
 def test_a_decider_refuses_input_outside_its_scope(call, error):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -140,3 +141,26 @@ def test_a_family_carries_its_own_tags():
     ]
     assert takes_tags == ["contred.lattice.tagged"]
     assert "cod" not in inspect.signature(lattice.sup0_upper_witness).parameters
+
+
+def test_only_the_lect_copy_count_is_a_cap_parameter():
+    # a ceiling on what an enumeration builds is a module constant, counted
+    # before anything is built; the one cap a caller sets is lect's number
+    # of parallel copies, which picks the relation decided, not a size
+    takes_cap = sorted(
+        f"{module.__name__}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module in [importlib.import_module(f"contred.{path.stem}")]
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and not name.startswith("_")
+        and "cap" in inspect.signature(fn).parameters
+    )
+    assert takes_cap == [
+        "contred.explore.degree_poset",
+        "contred.explore.search_antichain",
+        "contred.lattice.verify_glb",
+        "contred.lattice.verify_lub",
+        "contred.reducibility.compare",
+        "contred.reducibility.decide",
+        "contred.reducibility.le_ct",
+    ]

@@ -447,10 +447,11 @@ def test_choice_functions_of_function_graph_is_singleton():
 
 
 def test_choice_functions_capacity_guard():
-    d4 = discrete(4)
-    r = relation("R", d4, d4, [(x, y) for x in d4.points for y in d4.points])
-    with pytest.raises(CapacityError):
-        choice_functions(r, cap=10)
+    # 7 ** 7 = 823,543 selections, counted against CHOICE_CAP before any is built
+    d7 = discrete(7)
+    r = relation("R", d7, d7, [(x, y) for x in d7.points for y in d7.points])
+    with pytest.raises(CapacityError, match="^relation 'R' has more than 10000 choice functions$"):
+        choice_functions(r)
 
 
 def test_relation_rejects_foreign_pairs():
