@@ -378,7 +378,7 @@ def pullback_with_mediator(
 
 def poset_to_category(poset: DegreePoset, name: str | None = None) -> ThinCategory:
     """One object per degree class, one morphism per comparable pair."""
-    labels = [poset.class_label(c) for c in range(len(poset.classes))]
+    labels = poset.labels
     morphisms = []
     identities = {}
     for a, la in enumerate(labels):

@@ -107,10 +107,10 @@ def _resolve_items(args) -> list:
         wanted = "one item name" if args.count == 1 else "exactly two item names"
         raise CorpusError(f"{args.command} takes {wanted}")
     corpus = _load_corpus(files)
-    items = []
+    maps, items = corpus.maps, []
     for name in names:
-        try:
-            item = corpus.item(name)
+        try:  # maps are the pool Corpus.item searches first
+            item = maps.get(name) or corpus.item(name)
         except KeyError:
             raise CorpusError(f"nothing named {name!r} in the loaded corpora")
         kind = "map" if isinstance(item, PartialMap) else type(item).__name__.lower()
@@ -185,7 +185,7 @@ def _cmd_poset(args, items) -> int:
     if args.dot:
         print(to_dot(po), end="")
         return 0
-    lines = [f"class {c}: {po.class_label(c)}" for c in range(len(po.classes))]
+    lines = [f"class {c}: {label}" for c, label in enumerate(po.labels)]
     lines += [f"cover: {a} < {b}" for a, b in po.hasse]
     if lines:
         print("\n".join(lines))

@@ -44,7 +44,6 @@ from .spaces import (
     PartialMap,
     Problem,
     Space,
-    _bits,
     _once,
     _restrict_mask,
     _vec_map,
@@ -67,7 +66,8 @@ class DegreePoset:
     sorted tuple of item indices, classes ordered by their member names);
     bit b of ``above[a]`` says class a lies below class b; ``hasse`` holds
     the covering pairs (lower class, upper class) in ascending order.
-    ``matrix[i][j]``, items[i] below items[j], is read off on first use.
+    ``labels[c]`` (class c's member names, sorted and joined by ", ") and
+    ``matrix[i][j]`` (items[i] below items[j]) are read off on first use.
     """
 
     items: tuple
@@ -82,8 +82,12 @@ class DegreePoset:
                 return c
         raise ValueError(f"no item with index {item_index}")
 
+    @_once
+    def labels(self) -> tuple[str, ...]:
+        return tuple([", ".join(sorted([self.items[i].name for i in c])) for c in self.classes])
+
     def class_label(self, c: int) -> str:
-        return ", ".join(sorted(self.items[i].name for i in self.classes[c]))
+        return self.labels[c]
 
     def class_below(self, a: int, b: int) -> bool:
         return bool(self.above[a] >> b & 1)
@@ -111,90 +115,85 @@ def degree_poset(
     is not a preorder raises ``ContredError``.
     """
     items = tuple(items)
-    kinds = {isinstance(x, Problem) for x in items}
-    if len(kinds) > 1:
+    if len({isinstance(x, Problem) for x in items}) > 1:
         raise TypeError("mix of maps and problems in one poset")
     names = [x.name for x in items]
     if len(set(names)) != len(names):
         raise ValueError("poset items need distinct names")
-    if relation == "le0" and items:
-        cods = {x.cod for x in items}
-        if len(cods) > 1:
-            raise SpaceMismatchError("le0 poset needs one common codomain")
-    n = len(items)
-    # bitmasks over positions in name order: the representatives above
-    # representative r and the earlier ones below it; and r's class
-    order = sorted(range(n), key=names.__getitem__)
+    if relation == "le0" and items and len({x.cod for x in items}) > 1:
+        raise SpaceMismatchError("le0 poset needs one common codomain")
+    order = sorted(range(len(names)), key=names.__getitem__)
     named = [items[i] for i in order]
     names.sort()
-    up, down = [0] * n, [0] * n
-    members: dict[int, list[int]] = {}
-    reps: list[int] = []
-
+    # representative t: its item, its members' positions in name order (its
+    # own first), and bitmasks of the representatives above t and of the
+    # earlier ones below it
+    reps, members, up, down = [], [], [], []
     for i, x in enumerate(named):
         row = col = 0
         joinable = relation != "lect"
-        for r in reps:
-            y = named[r]
-            row |= (decide(x, y, relation, budget, cap) is not None) << r
-            col |= (decide(y, x, relation, budget, cap) is not None) << r
-            if joinable and (row & col) >> r & 1:
+        for t, y in enumerate(reps):
+            row |= (decide(x, y, relation, budget, cap) is not None) << t
+            col |= (decide(y, x, relation, budget, cap) is not None) << t
+            if joinable and (row & col) >> t & 1:
                 # an item that answers against an earlier representative
-                # unlike r joins nothing: as a representative, its row
+                # unlike t joins nothing: as a representative, its row
                 # breaks transitivity below
-                joinable = not ((row ^ up[r]) | (col ^ down[r])) & ((1 << r) - 1)
+                joinable = not ((row ^ up[t]) | (col ^ down[t])) & ((1 << t) - 1)
                 if joinable:
-                    members[r].append(i)
+                    members[t].append(i)
                     break
         else:
-            bit = 1 << i
+            bit = 1 << len(reps)
             if decide(x, x, relation, budget, cap) is not None:
                 row, col = row | bit, col | bit
-            up[i], down[i], members[i] = row, col, [i]
-            for r in _bits(col):
-                up[r] |= bit
-            reps.append(i)
-    for r in reps:
-        if not up[r] >> r & 1:
-            raise ContredError(f"{relation} is not reflexive at {names[r]!r}")
-        for j in _bits(up[r]):
-            missed = up[j] & ~up[r]
-            if missed:
-                k = next(_bits(missed))
-                raise ContredError(
-                    f"{relation} is not transitive on "
-                    f"{names[r]!r}, {names[j]!r}, {names[k]!r}"
-                )
+            for s in range(len(reps)):
+                if col >> s & 1:
+                    up[s] |= bit
+            reps.append(x)
+            members.append([i])
+            up.append(row)
+            down.append(col)
+    for t, mask in enumerate(up):
+        if not mask >> t & 1:
+            raise ContredError(f"{relation} is not reflexive at {names[members[t][0]]!r}")
+        for s, row in enumerate(up):
+            missed = row & ~mask
+            if missed and mask >> s & 1:
+                k = (missed & -missed).bit_length() - 1
+                bad = ", ".join(repr(names[members[j][0]]) for j in (t, s, k))
+                raise ContredError(f"{relation} is not transitive on {bad}")
 
-    # a class is the members of the representatives that share a row: one
-    # representative if the relation joins (a later one with an earlier
-    # one's row would have joined it), maybe several under lect.  So classes
-    # come ordered by their least member's name, as their labels sort
+    # a class is the representatives that share a row: one if the relation
+    # joins (a later one with an earlier one's row would have joined it),
+    # maybe several under lect.  So classes come ordered by their least
+    # member's name, as their labels sort
     rows: dict[int, list[int]] = {}
-    for r in reps:
-        rows.setdefault(up[r], []).extend(members[r])
-    classes = [tuple(c) for c in rows.values()]
-    # each class's bit, at its first member, which is a representative
-    class_bit = [0] * n
-    for a, c in enumerate(classes):
-        class_bit[c[0]] = 1 << a
-    above, hasse = [], []
-    for c in classes:
-        row, mask = 0, up[c[0]]
-        for r in reps:
-            if mask >> r & 1:
-                row |= class_bit[r]
-        above.append(row)
+    for t, row in enumerate(up):
+        rows.setdefault(row, []).append(t)
+    above = list(rows)
+    if len(rows) < len(up):
+        # rows over classes: each class's bit at its first representative
+        bits = [0] * len(up)
+        for a, ts in enumerate(rows.values()):
+            bits[ts[0]] = 1 << a
+        above = [sum(b for s, b in enumerate(bits) if row >> s & 1) for row in rows]
     strict = [row & ~(1 << a) for a, row in enumerate(above)]
+    hasse = []
     for a, row in enumerate(strict):
         # b covers a when no class strictly between them lies above a
-        through = 0
-        for c in _bits(row):
-            through |= strict[c]
-        for b in _bits(row & ~through):
-            hasse.append((a, b))
-    # back to indices into the given items
-    classes = [tuple(sorted(order[i] for i in c)) for c in classes]
+        rest = row
+        while rest:
+            low = rest & -rest
+            row &= ~strict[low.bit_length() - 1]
+            rest ^= low
+        while row:
+            low = row & -row
+            hasse.append((a, low.bit_length() - 1))
+            row ^= low
+    classes = []
+    for ts in rows.values():
+        classes.append(tuple(sorted([order[i] for t in ts for i in members[t]])))
     return DegreePoset(items, relation, tuple(classes), tuple(above), tuple(hasse))
 
 
@@ -204,15 +203,11 @@ def _dot_quote(text: str) -> str:
 
 def to_dot(poset: DegreePoset) -> str:
     """Deterministic DOT text: one node per class, covers drawn upward."""
+    labels = poset.labels
     lines = ['digraph "degrees" {', "  rankdir=BT;"]
-    for c in range(len(poset.classes)):
-        lines.append(f"  {_dot_quote(poset.class_label(c))};")
-    for a, b in sorted(
-        poset.hasse, key=lambda e: (poset.class_label(e[0]), poset.class_label(e[1]))
-    ):
-        lines.append(
-            f"  {_dot_quote(poset.class_label(a))} -> {_dot_quote(poset.class_label(b))};"
-        )
+    lines += [f"  {_dot_quote(label)};" for label in labels]
+    for a, b in sorted((labels[a], labels[b]) for a, b in poset.hasse):
+        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -42,24 +42,25 @@ class Budget:
 RECORDS_LIMIT = 4096
 
 
-def _recorded(records: dict, key, budget: Budget | None, work, *args):
+def _recorded(records: dict, key, budget: Budget | None, work, *args, held=None):
     """``work(*args)``, kept in ``records`` under ``key``.
 
     A record is the answer, None included, with the nodes of ``budget``
-    that ``work`` spent.  While ``budget`` still has them, a repeat spends
-    them again and returns the answer, leaving ``budget.used`` where a new
-    search would; otherwise ``work`` runs anew and runs out as a new
-    search does, with ``budget.used`` one past the limit.  So ``work`` must
-    answer and spend alike for equal keys.  An exception is never kept,
-    and a dict past ``RECORDS_LIMIT`` records drops its oldest first.
+    that ``work`` spent, and ``held`` if given (an item the key names by
+    its id).  While ``budget`` still has the nodes, a repeat spends them
+    again and returns the answer, leaving ``budget.used`` where a new search
+    would; otherwise ``work`` runs anew and runs out as a new search does,
+    with ``budget.used`` one past the limit.  So ``work`` must answer and
+    spend alike for equal keys.  An exception is never kept, nor an answer
+    past the default limit; a dict past ``RECORDS_LIMIT`` drops its oldest.
 
-    ``budget`` None stands for a fresh default ``Budget()``, which is made
-    only when ``work`` runs and is then passed to it after ``args``; a
-    repeat within the default limit returns its answer without one.
+    ``budget`` None stands for a fresh default ``Budget()``, made only when
+    ``work`` runs and passed to it after ``args``; it has room for every
+    record kept, so a caller may answer a repeat without one from any record.
     """
     got = records.get(key)
     if got is not None:
-        found, nodes = got
+        found, nodes = got[0], got[1]
         if budget is None:
             if nodes <= DEFAULT_BUDGET:
                 return found
@@ -73,9 +74,11 @@ def _recorded(records: dict, key, budget: Budget | None, work, *args):
         args += (budget,)
     start = budget.used
     found = work(*args)
-    if got is None and len(records) >= RECORDS_LIMIT:
-        del records[next(iter(records))]
-    records[key] = found, budget.used - start
+    nodes = budget.used - start
+    if nodes <= DEFAULT_BUDGET:
+        if got is None and len(records) >= RECORDS_LIMIT:
+            del records[next(iter(records))]
+        records[key] = (found, nodes) if held is None else (found, nodes, held)
     return found
 
 

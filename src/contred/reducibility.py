@@ -42,6 +42,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import product as _iproduct
 from math import inf
 
+from . import kernel
 from .errors import CapacityError, InvalidWitnessError, SpaceMismatchError
 from .invariants import _refuted
 from .kernel import DEFAULT_BUDGET, Budget, _monotone, _recorded, _search
@@ -228,7 +229,9 @@ def le0_map(
     """Composition reducibility between single partial maps.
 
     This is the singleton-problem reading: a continuous partial G with
-    q . G = p exactly (domains of definition included).
+    q . G = p exactly (domains of definition included).  G is -1 exactly
+    off def p, and elsewhere the lexicographically least vector that
+    works, its entries read in X1's index order.
     """
     if p.cod != q.cod:
         raise SpaceMismatchError(
@@ -306,24 +309,32 @@ def _le2_fast_search(p: PartialMap, q: PartialMap, budget: Budget) -> tuple[int,
 def _le2_walk(X1: Space, X2: Space, key, budget: Budget) -> tuple[int, ...] | None:
     """:func:`_le2_fast_search` without its records: one kernel walk for
     the pair of conflict structures ``key`` on X1 and X2."""
-    (def_p, pairs_p), (def_q, pairs_q) = key
-    n2, up, down = X2.n, X2.up, X2.down
-    # above[a]: the b with (a, b) a conflict pair of q; below[b]: the a
-    above, below = [0] * n2, [0] * n2
-    for a, b in pairs_q:
-        above[a] |= 1 << b
-        below[b] |= 1 << a
-    conflicts = set(pairs_p)
+    order, conflicts, _ = _le2_tables(X1, key[0])
+    cands, above, below = _le2_tables(X2, key[1])
+    tables = ((X2.down, below), (X2.up, above))
 
     def masks(i2: int, i: int, low: bool):
-        if ((i2, i) if low else (i, i2)) not in conflicts:
-            return up if low else down
-        return above if low else below
+        return tables[low][(conflicts[i2] >> i if low else conflicts[i] >> i2) & 1]
 
-    order = [i for i in range(X1.n) if (def_p >> i) & 1]
-    cands = [j for j in range(n2) if (def_q >> j) & 1]
     gvec = _search(X1.n, X1.pairs, order, [cands] * len(order), masks, budget)
     return None if gvec is None else tuple(gvec)
+
+
+def _le2_tables(X: Space, s) -> tuple[list[int], list[int], list[int]]:
+    """The conflict structure ``s`` on X as a le2 walk reads it: its defined
+    points, and per point the other ends of its pairs (``above[a]``: the b
+    of (a, b); ``below[b]``: the a).  Kept on X for ``kernel.RECORDS_LIMIT``."""
+    tables = _kept(X, ("le2 tables",), dict)
+    got = tables.get(s)
+    if got is None:
+        above, below = [0] * X.n, [0] * X.n
+        for a, b in s[1]:
+            above[a] |= 1 << b
+            below[b] |= 1 << a
+        got = [i for i in range(X.n) if s[0] >> i & 1], above, below
+        if len(tables) < kernel.RECORDS_LIMIT:
+            tables[s] = got
+    return got
 
 
 def _forced(p: PartialMap, q: PartialMap, gvec: list[int] | None) -> Witness2 | None:
@@ -351,6 +362,9 @@ def le2_map(
     :func:`contred.kernel._recorded`).  Every yes builds the
     postprocessor that G forces and replays the witness in full, kept or
     not; a kept G that fails to replay raises :class:`InvalidWitnessError`.
+    G is -1 exactly off def p, and elsewhere the lexicographically least
+    vector that works, its entries read in X1's index order; F is the one
+    that G forces.
     """
     return _forced(p, q, _le2_fast_search(p, q, _as_budget(budget)))
 
@@ -544,17 +558,25 @@ def decide(
     search.
 
     Each answer is kept by :func:`contred.kernel._recorded` in ``a``'s
-    ``__dict__``, keyed by ``(relation, cap, b)`` for ``lect`` and
-    ``(relation, None, b)`` otherwise, and dies with ``a``; a repeated
-    call returns the same object.  Under the default budget a repeat
-    builds no :class:`Budget`.
+    ``_decided``, keyed by the right item itself, ``(relation, cap, id(b))``
+    for ``lect`` and ``(relation, id(b))`` otherwise, and dies with ``a``.
+    The record holds ``b``, so its id names no other item: a repeat with
+    ``b`` returns the same object, and an equal copy decides anew, to the
+    same answer for the same nodes.  A repeat without a budget is one lookup.
     """
-    records = a.__dict__.get("_decided") or a.__dict__.setdefault("_decided", {})
-    key = (relation, cap if relation == "lect" else None, b)
+    try:
+        records = a._decided
+    except AttributeError:
+        records = a.__dict__["_decided"] = {}
+    key = (relation, cap, id(b)) if relation == "lect" else (relation, id(b))
     if budget is None:
-        return _recorded(records, key, None, _decide, a, b, relation, cap)
+        # a default budget has room for every kept record (see _recorded)
+        got = records.get(key)
+        if got is not None:
+            return got[0]
+        return _recorded(records, key, None, _decide, a, b, relation, cap, held=b)
     nodes = _as_budget(budget)
-    return _recorded(records, key, nodes, _decide, a, b, relation, cap, nodes)
+    return _recorded(records, key, nodes, _decide, a, b, relation, cap, nodes, held=b)
 
 
 def _decide(a, b, relation: str, cap: int, nodes: Budget):

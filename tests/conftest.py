@@ -154,6 +154,45 @@ def brute_force_basesize(f: PartialMap) -> int:
     raise AssertionError("singleton partition must always work")
 
 
+def least_witness(p: PartialMap, q: PartialMap, relation: str):
+    """The least witness of ``p`` below ``q`` under ``le0`` or ``le2``, by
+    trying every G in turn: ``(gvec, fvec)`` as index vectors, ``fvec``
+    None for le0, or None when no G works.
+
+    G is undefined exactly off p's domain of definition; its values there
+    run through X2's points in lexicographic order, X1's points read in
+    index order.  A G works when it is monotone on that domain and, for
+    le0, q(G x) = p(x) there; for le2, q(G x) is defined there and the F
+    it forces, F(x, q(G x)) = p(x) and undefined elsewhere, is monotone
+    on those points of X1 x Y2 in the product order.  Only point names,
+    ``below`` and the maps' name views are read."""
+    X1, X2, Y2, Y1 = p.dom, q.dom, q.cod, p.cod
+    pm, qm = p.mapping, q.mapping
+    defined = [x for x in X1.points if x in pm]
+    for values in itertools.product(X2.points, repeat=len(defined)):
+        g = dict(zip(defined, values))
+        if any(X1.below(x, y) and not X2.below(g[x], g[y]) for x in defined for y in defined):
+            continue
+        answer = {x: qm.get(g[x]) for x in defined}
+        gvec = tuple(X2.points.index(g[x]) if x in g else -1 for x in X1.points)
+        if relation == "le0":
+            if all(answer[x] == pm[x] for x in defined):
+                return gvec, None
+            continue
+        if None in answer.values() or any(
+            X1.below(x, y) and Y2.below(answer[x], answer[y]) and not Y1.below(pm[x], pm[y])
+            for x in defined
+            for y in defined
+        ):
+            continue
+        k = len(Y2.points)
+        fvec = [-1] * (len(X1.points) * k)
+        for x in defined:
+            fvec[X1.points.index(x) * k + Y2.points.index(answer[x])] = Y1.points.index(pm[x])
+        return gvec, tuple(fvec)
+    return None
+
+
 # --------------------------------------------------------------------------
 # a small DOT syntax checker (node/edge statements with quoted identifiers)
 # --------------------------------------------------------------------------

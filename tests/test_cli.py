@@ -23,6 +23,7 @@ from contred import (
     kernel,
     level,
     random_map,
+    random_partial_map,
     random_space,
     reducibility,
     serialize,
@@ -730,6 +731,38 @@ def test_a_repeated_poset_prints_the_same_bytes_without_searching(
     monkeypatch.setattr(reducibility, "_le2_fast_search", refuse)
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_twenty_posets_of_one_corpus_print_what_fresh_parses_print(tmp_path, capsys):
+    # the later posets of a process read kept answers; each prints what it
+    # prints on items parsed anew, which have none
+    rng = random.Random(5)
+    doms = [random_space(n, 0.6, rng.randrange(1 << 30)) for n in (2, 3, 3, 4)]
+    maps = [
+        (random_partial_map if k >= 10 else random_map)(
+            doms[k if k < 2 else rng.randrange(4)], rng.choice((discrete(2), chain(2))),
+            rng.randrange(1 << 30), name=f"m{k}",
+        )
+        for k in range(14)
+    ]
+    path = tmp_path / "pool.clt"
+    path.write_text(serialize(corpus_from_items(maps)), encoding="utf-8")
+    lines = [
+        ["poset", "le2", *(f"m{k}" for k in rng.sample(range(14), 12)), str(path)]
+        for _ in range(20)
+    ]
+
+    def printed(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    warm = [printed(argv) for argv in lines]
+    fresh = []
+    for argv in lines:
+        cli._parsed.clear()
+        fresh.append(printed(argv))
+    assert warm == fresh
+    assert len(set(fresh)) > 1 and all("cover:" in out for out in fresh)
 
 
 def test_help_exits_zero(capsys):

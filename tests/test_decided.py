@@ -139,7 +139,7 @@ def test_an_exhausted_budget_is_never_kept():
     f = injective_indiscrete_map(12)
     with pytest.raises(CapacityError):
         decide(f, f, "le2", budget=5)
-    assert ("le2", None, f) not in f.__dict__.get("_decided", {})
+    assert f.__dict__.get("_decided", {}) == {}
     nodes = Budget()
     assert decide(f, f, "le2", nodes) is not None
     assert nodes.used > 5
@@ -158,6 +158,21 @@ def test_other_errors_are_never_kept():
         with pytest.raises(ValueError):
             decide(ident, other, "le9")
     assert ident.__dict__.get("_decided", {}) == {}
+
+
+def test_an_equal_copy_of_the_right_item_decides_anew():
+    # records are keyed by the right item itself: an equal but distinct
+    # copy finds none, searches, and answers as the first decision did
+    ident, konst = _sierpinski_maps()
+    _, copy = _sierpinski_maps()
+    assert copy == konst and copy is not konst
+    first, again = Budget(), Budget()
+    kept = decide(ident, konst, "le2", first)
+    fresh = decide(ident, copy, "le2", again)
+    assert fresh is not kept and fresh == kept
+    assert again.used == first.used > 0
+    assert len(ident.__dict__["_decided"]) == 2
+    assert decide(ident, copy, "le2") is fresh
 
 
 def test_kept_answers_die_with_their_left_item():

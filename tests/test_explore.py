@@ -289,6 +289,37 @@ def test_degree_poset_does_the_same_work_in_every_order(decisions):
     assert len(first[0]) == 38
 
 
+def _session_pool(seed):
+    """14 maps, 10 total and 4 partial, over four random domains of 2, 3,
+    3 and 4 points into discrete(2) or chain(2)."""
+    rng = random.Random(seed)
+    doms = [random_space(n, 0.6, rng.randrange(1 << 30)) for n in (2, 3, 3, 4)]
+    cods = (discrete(2), chain(2))
+    return [
+        (random_partial_map if k >= 10 else random_map)(
+            doms[k if k < 2 else k % 4], cods[k % 2], 7 * k + seed, name=f"m{k}"
+        )
+        for k in range(14)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_poset_of_decided_items_equals_one_of_fresh_copies(monkeypatch, seed):
+    pool = _session_pool(seed)
+    for a, b in itertools.product(pool, repeat=2):
+        decide(a, b, "le2")
+    subset = random.Random(seed).sample(range(14), 12)
+    fresh = degree_poset([_session_pool(seed)[i] for i in subset], "le2")
+
+    def refuse(*args):
+        raise AssertionError("decided a kept pair anew")
+
+    monkeypatch.setattr(contred.reducibility, "_decide", refuse)
+    warm = degree_poset([pool[i] for i in subset], "le2")
+    assert (warm.classes, warm.above, warm.hasse) == (fresh.classes, fresh.above, fresh.hasse)
+    assert len(warm.classes) > 1 and warm.hasse
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_shared_budget_spends_the_same_in_every_order(seed):
     rng = random.Random(seed)

@@ -64,7 +64,16 @@ from contred import (
 from contred import kernel, reducibility
 from contred.reducibility import _le2_fast_search, _search
 
-from conftest import partial_maps_st, problems_st, seeds, spaces_st, total_maps_st
+from conftest import (
+    all_spaces_up_to,
+    all_total_maps,
+    least_witness,
+    partial_maps_st,
+    problems_st,
+    seeds,
+    spaces_st,
+    total_maps_st,
+)
 
 S2 = sierpinski()
 D2 = discrete(2)
@@ -868,3 +877,46 @@ def test_the_structure_table_dies_with_its_space():
     del X, p
     gc.collect()
     assert gone() is None
+
+
+# -- the witness contract: the least G, whatever the search order ----------
+
+
+def _witness_counts(pairs):
+    """Compare le0_map and le2_map with the brute force on every pair;
+    count the yes answers of each."""
+    yes = {"le0": 0, "le2": 0}
+    for p, q in pairs:
+        for relation, decider in (("le0", le0_map), ("le2", le2_map)):
+            if relation == "le0" and p.cod != q.cod:
+                continue
+            w = decider(p, q)
+            got = None if w is None else (w.gvec, getattr(w, "fvec", None))
+            assert got == least_witness(p, q, relation), (p, q, relation)
+            yes[relation] += w is not None
+    return yes
+
+
+def test_deciders_give_the_least_witness_on_every_pair_up_to_two_points():
+    maps = [
+        f
+        for X in all_spaces_up_to(2)
+        for Y in (discrete(2), sierpinski())
+        for f in all_total_maps(X, Y)
+    ]
+    yes = _witness_counts(itertools.product(maps, repeat=2))
+    assert yes["le0"] > 0 and yes["le2"] > 0
+
+
+def test_deciders_give_the_least_witness_on_a_seeded_draw_up_to_three_points():
+    maps = [
+        f
+        for X in all_spaces_up_to(3)
+        if X.points
+        for Y in (discrete(2), sierpinski(), discrete(3))
+        for f in all_total_maps(X, Y)
+    ]
+    assert len(maps) == 1322
+    rng = random.Random(0)
+    yes = _witness_counts((rng.choice(maps), rng.choice(maps)) for _ in range(6000))
+    assert yes["le0"] > 0 and yes["le2"] > 0
